@@ -1,8 +1,7 @@
 //! `bench_core` — the core-kernel performance harness behind
 //! `BENCH_core.json`.
 //!
-//! Times the hot kernels of the simulator with plain wall-clock sampling
-//! (the vendored criterion stand-in has no machine-readable output):
+//! Times the hot kernels of the simulator with plain wall-clock sampling:
 //!
 //! * `macro/sparse_tile_load` / `macro/sparse_tile_compute` — the bit-plane
 //!   macro, load phase and compute phase separately.

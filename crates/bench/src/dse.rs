@@ -16,10 +16,10 @@
 //! `diff` a cold run against a resumed one.
 
 use std::fmt::Write as _;
-use std::str::FromStr;
 
 use db_pim::prelude::*;
 use db_pim::PipelineError;
+use dbpim_serve::options::{parse_list, parse_value};
 
 use crate::{pct, ExperimentOptions, OptionsError};
 
@@ -155,9 +155,9 @@ impl DseSweepOptions {
                 "--pruning" => options.pruning = parse_list(flag, raw)?,
                 "--sparsity" => options.sparsity = parse_list(flag, raw)?,
                 "--snapshot" => options.snapshot = Some(raw.clone()),
-                "--limit-points" => options.limit_points = Some(parse_scalar(flag, raw)?),
-                "--batch" => options.batch = Some(parse_scalar(flag, raw)?),
-                "--threads" => options.threads = Some(parse_scalar(flag, raw)?),
+                "--limit-points" => options.limit_points = Some(parse_value(flag, raw)?),
+                "--batch" => options.batch = Some(parse_value(flag, raw)?),
+                "--threads" => options.threads = Some(parse_value(flag, raw)?),
                 _ => unreachable!("flag list and match arms agree"),
             }
             i += 2;
@@ -215,34 +215,6 @@ impl DseSweepOptions {
         }
         Ok(driver)
     }
-}
-
-/// Parses a comma-separated list, attributing the failing element to the
-/// flag.
-fn parse_list<T: FromStr>(flag: &str, raw: &str) -> Result<Vec<T>, OptionsError>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.split(',')
-        .map(str::trim)
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            part.parse().map_err(|e: T::Err| OptionsError {
-                flag: flag.to_string(),
-                message: format!("`{part}` — {e}"),
-            })
-        })
-        .collect()
-}
-
-fn parse_scalar<T: FromStr>(flag: &str, raw: &str) -> Result<T, OptionsError>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.parse().map_err(|e: T::Err| OptionsError {
-        flag: flag.to_string(),
-        message: format!("`{raw}` — {e}"),
-    })
 }
 
 /// Renders a [`DseReport`] as a deterministic text table: one row per

@@ -12,14 +12,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt;
-use std::str::FromStr;
-
 use db_pim::prelude::*;
 use db_pim::PipelineError;
 use dbpim_fta::stats::{LayerFtaStats, ModelFtaStats};
 use dbpim_fta::LayerApprox;
 use dbpim_nn::Layer;
+use dbpim_serve::options::parse_value;
 use dbpim_tensor::quant::QuantizedTensor;
 use dbpim_tensor::stats::zero_bit_column_ratio;
 
@@ -27,22 +25,9 @@ pub mod dse;
 pub mod experiments;
 pub mod reference;
 
-/// A malformed experiment command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptionsError {
-    /// The flag at fault (e.g. `--width`).
-    pub flag: String,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for OptionsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid value for `{}`: {}", self.flag, self.message)
-    }
-}
-
-impl std::error::Error for OptionsError {}
+/// A malformed experiment command line (the serving binaries' error type:
+/// every command line in the workspace reports flags the same way).
+pub use dbpim_serve::OptionsError;
 
 /// Command-line options shared by every experiment binary.
 ///
@@ -87,17 +72,6 @@ impl Default for ExperimentOptions {
             operand_width: OperandWidth::Int8,
         }
     }
-}
-
-/// Parses one flag value, attributing failures to the flag.
-fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, OptionsError>
-where
-    T::Err: fmt::Display,
-{
-    raw.parse().map_err(|e: T::Err| OptionsError {
-        flag: flag.to_string(),
-        message: format!("`{raw}` — {e}"),
-    })
 }
 
 impl ExperimentOptions {
@@ -369,23 +343,6 @@ pub fn input_column_sparsity(
         }
     }
     Ok(out)
-}
-
-/// Runs the full co-design pipeline for one model through a one-shot
-/// session.
-///
-/// Callers rendering several reports should share an [`ExperimentContext`]
-/// instead, so artifacts are cached across reports.
-///
-/// # Errors
-///
-/// Propagates any pipeline stage failure.
-pub fn run_pipeline(
-    kind: ModelKind,
-    options: &ExperimentOptions,
-    with_fidelity: bool,
-) -> Result<CodesignResult, PipelineError> {
-    SimSession::new(options.pipeline_config())?.codesign(kind, with_fidelity)
 }
 
 /// Formats a fraction as a percentage with one decimal.

@@ -35,12 +35,14 @@ use dbpim_nn::ModelKind;
 use dbpim_sim::dse::{pareto_frontier, ArchGrid, GridError, ParetoMetrics};
 use dbpim_sim::{AreaModel, SparsityConfig};
 use dbpim_tensor::PruningSpec;
-use serde::value::{get_field, type_error, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::error::PipelineError;
 use crate::pipeline::{CodesignResult, PipelineConfig};
-use crate::session::{par, BatchRunner, SessionCacheStats, SweepEntry, SweepSpec};
+use crate::session::{
+    canonical_sparsity, first_seen, par, pruning_or, widths_or, BatchRunner, SessionCacheStats,
+    SweepEntry,
+};
 
 /// Milliseconds since the Unix epoch — the timestamp resolution of DSE
 /// snapshots. Timestamps record *when* a point was computed; every equality
@@ -56,10 +58,10 @@ pub fn unix_time_ms() -> u64 {
 /// crossed with models, sparsity configurations, operand widths and pruning
 /// specs.
 ///
-/// Serialization is hand-written so the `pruning` axis is omitted when empty
-/// and tolerated when absent — specs (and snapshots embedding them) written
-/// before the axis existed keep their historical bytes and still load.
-#[derive(Debug, Clone, PartialEq)]
+/// The `pruning` axis is declared last, omitted when empty and tolerated
+/// when absent — specs (and snapshots embedding them) written before the
+/// axis existed keep their historical bytes and still load.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DseSpec {
     /// Geometry axis grids.
     pub grid: ArchGrid,
@@ -70,49 +72,14 @@ pub struct DseSpec {
     pub sparsity: Vec<SparsityConfig>,
     /// Weight operand widths; empty means "the session's configured width".
     pub widths: Vec<OperandWidth>,
-    /// Value-level pruning specs (the joint value/bit sparsity axis); empty
-    /// means "the session's configured pruning" — the identity spec by
-    /// default, i.e. the classic unpruned exploration.
-    pub pruning: Vec<PruningSpec>,
     /// Evaluate accuracy fidelity where defined (INT8 width, evaluation
     /// images configured).
     pub fidelity: bool,
-}
-
-impl Serialize for DseSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("grid".to_string(), self.grid.to_value()),
-            ("models".to_string(), self.models.to_value()),
-            ("sparsity".to_string(), self.sparsity.to_value()),
-            ("widths".to_string(), self.widths.to_value()),
-            ("fidelity".to_string(), self.fidelity.to_value()),
-        ];
-        if !self.pruning.is_empty() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for DseSpec {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("DSE spec map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
-        Ok(Self {
-            grid: ArchGrid::from_value(field("grid")?)?,
-            models: Vec::from_value(field("models")?)?,
-            sparsity: Vec::from_value(field("sparsity")?)?,
-            widths: Vec::from_value(field("widths")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => Vec::from_value(found)?,
-                None => Vec::new(),
-            },
-            fidelity: bool::from_value(field("fidelity")?)?,
-        })
-    }
+    /// Value-level pruning specs (the joint value/bit sparsity axis); empty
+    /// means "the session's configured pruning" — the identity spec by
+    /// default, i.e. the classic unpruned exploration.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub pruning: Vec<PruningSpec>,
 }
 
 impl DseSpec {
@@ -158,38 +125,30 @@ impl DseSpec {
         self
     }
 
-    /// The equivalent sweep axes (used for the shared dedup helpers).
-    fn as_sweep(&self) -> SweepSpec {
-        SweepSpec::new(self.models.clone())
-            .with_sparsity(self.sparsity.clone())
-            .with_widths(self.widths.clone())
-            .with_pruning(self.pruning.clone())
-    }
-
     /// The requested models, duplicates removed, in first-seen order.
     #[must_use]
     pub fn unique_models(&self) -> Vec<ModelKind> {
-        self.as_sweep().unique_models()
+        first_seen(&self.models)
     }
 
     /// The requested sparsity configurations in canonical Fig. 7 order.
     #[must_use]
     pub fn unique_sparsity(&self) -> Vec<SparsityConfig> {
-        self.as_sweep().unique_sparsity()
+        canonical_sparsity(&self.sparsity)
     }
 
     /// The operand widths the exploration runs at, in canonical
     /// narrow-to-wide order (`session_width` when none were requested).
     #[must_use]
     pub fn effective_widths(&self, session_width: OperandWidth) -> Vec<OperandWidth> {
-        self.as_sweep().effective_widths(session_width)
+        widths_or(&self.widths, session_width)
     }
 
     /// The pruning specs the exploration runs at, in request order
     /// (deduplicated); `session_pruning` when none were requested.
     #[must_use]
     pub fn effective_pruning(&self, session_pruning: PruningSpec) -> Vec<PruningSpec> {
-        self.as_sweep().effective_pruning(session_pruning)
+        pruning_or(&self.pruning, session_pruning)
     }
 
     /// Every (model, width, pruning, geometry) point of the exploration in
@@ -207,19 +166,36 @@ impl DseSpec {
         session_pruning: PruningSpec,
     ) -> Result<Vec<DsePoint>, PipelineError> {
         let archs = self.grid.enumerate().map_err(grid_error)?;
-        let mut points =
-            Vec::with_capacity(self.unique_models().len() * archs.len().max(1) * 2usize);
-        for kind in self.unique_models() {
-            for width in self.effective_widths(session_width) {
-                for pruning in self.effective_pruning(session_pruning) {
-                    for &arch in &archs {
-                        points.push(DsePoint { kind, width, pruning, arch });
-                    }
+        Ok(cross_points(
+            &self.unique_models(),
+            &self.effective_widths(session_width),
+            &self.effective_pruning(session_pruning),
+            &archs,
+        ))
+    }
+}
+
+/// Crosses the four point axes in canonical order: models outermost, then
+/// widths, then pruning specs, then geometries. Every grid — a
+/// [`DseSpec`], a [`SweepSpec`](crate::SweepSpec), a report's canonical
+/// ranking — enumerates its points here.
+pub(crate) fn cross_points(
+    models: &[ModelKind],
+    widths: &[OperandWidth],
+    prunings: &[PruningSpec],
+    archs: &[ArchConfig],
+) -> Vec<DsePoint> {
+    let mut points = Vec::with_capacity(models.len() * widths.len() * prunings.len() * archs.len());
+    for &kind in models {
+        for &width in widths {
+            for &pruning in prunings {
+                for &arch in archs {
+                    points.push(DsePoint { kind, width, pruning, arch });
                 }
             }
         }
-        Ok(points)
     }
+    points
 }
 
 fn grid_error(e: GridError) -> PipelineError {
@@ -279,6 +255,15 @@ impl DsePoint {
         point_key(self.kind, self.width, self.pruning, &self.arch)
     }
 
+    /// `true` when both points draw on one prepared artifact set: same
+    /// model, width and pruning, whatever the geometry. Canonical point
+    /// lists keep such points adjacent, so `chunk_by` with this predicate
+    /// yields one group per artifact set.
+    #[must_use]
+    pub fn shares_artifacts(&self, other: &DsePoint) -> bool {
+        (self.kind, self.width, self.pruning) == (other.kind, other.width, other.pruning)
+    }
+
     /// The point's opaque hashable identity — what deduplication across
     /// shard reports keys on.
     #[must_use]
@@ -300,18 +285,16 @@ pub struct DsePointKey(PointKey);
 
 /// One computed point of a [`DseReport`].
 ///
-/// Serialization is hand-written: an identity `pruning` spec is omitted, so
-/// unpruned snapshots stay byte-identical to snapshots written before the
-/// pruning axis existed, and old snapshots load with the identity default.
-#[derive(Debug, Clone, PartialEq)]
+/// An identity `pruning` spec is omitted (the field is declared last, so an
+/// active one serializes last): unpruned snapshots stay byte-identical to
+/// snapshots written before the pruning axis existed, and old snapshots
+/// load with the identity default.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DseEntry {
     /// The explored model.
     pub kind: ModelKind,
     /// The weight operand width of the point.
     pub width: OperandWidth,
-    /// The value-level pruning of the point (identity for classic unpruned
-    /// explorations).
-    pub pruning: PruningSpec,
     /// The geometry of the point.
     pub arch: ArchConfig,
     /// The full co-design result at the point.
@@ -320,42 +303,10 @@ pub struct DseEntry {
     /// [`DseReport::results_match`]; preserved across resumes for entries
     /// the resume did not have to recompute.
     pub computed_at_ms: u64,
-}
-
-impl Serialize for DseEntry {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("width".to_string(), self.width.to_value()),
-            ("arch".to_string(), self.arch.to_value()),
-            ("result".to_string(), self.result.to_value()),
-            ("computed_at_ms".to_string(), self.computed_at_ms.to_value()),
-        ];
-        if self.pruning.is_active() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for DseEntry {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("DSE entry map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
-        Ok(Self {
-            kind: ModelKind::from_value(field("kind")?)?,
-            width: OperandWidth::from_value(field("width")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => PruningSpec::from_value(found)?,
-                None => PruningSpec::none(),
-            },
-            arch: ArchConfig::from_value(field("arch")?)?,
-            result: CodesignResult::from_value(field("result")?)?,
-            computed_at_ms: u64::from_value(field("computed_at_ms")?)?,
-        })
-    }
+    /// The value-level pruning of the point (identity for classic unpruned
+    /// explorations).
+    #[serde(default, skip_serializing_if = "PruningSpec::is_inactive")]
+    pub pruning: PruningSpec,
 }
 
 impl DseEntry {
@@ -475,28 +426,15 @@ impl DseReport {
     /// element.
     fn canonical_rank(&self) -> HashMap<PointKey, usize> {
         let archs = self.spec.grid.enumerate().unwrap_or_default();
-        let mut prunings: Vec<PruningSpec> = Vec::new();
-        for &spec in &self.spec.pruning {
-            if !prunings.contains(&spec) {
-                prunings.push(spec);
-            }
-        }
+        let mut prunings = first_seen(&self.spec.pruning);
         if !prunings.contains(&PruningSpec::none()) {
             prunings.push(PruningSpec::none());
         }
-        let mut rank = HashMap::new();
-        let mut next = 0usize;
-        for kind in self.spec.unique_models() {
-            for width in OperandWidth::all() {
-                for &pruning in &prunings {
-                    for arch in &archs {
-                        rank.insert(point_key(kind, width, pruning, arch), next);
-                        next += 1;
-                    }
-                }
-            }
-        }
-        rank
+        cross_points(&self.spec.unique_models(), &OperandWidth::all(), &prunings, &archs)
+            .iter()
+            .enumerate()
+            .map(|(rank, point)| (point.key(), rank))
+            .collect()
     }
 
     fn sort_by_rank(entries: &mut [DseEntry], rank: &HashMap<PointKey, usize>) {
@@ -972,6 +910,20 @@ mod tests {
         let merged = a.clone().merge(DseReport::empty(spec_a, 4)).unwrap();
         assert!(merged.entries.is_empty());
         assert!(!merged.is_complete());
+    }
+
+    #[test]
+    fn a_nesting_bomb_snapshot_is_a_bad_config_error() {
+        let path = std::env::temp_dir().join(format!(
+            "dbpim-nesting-bomb-{}-{}.json",
+            std::process::id(),
+            line!()
+        ));
+        std::fs::write(&path, "[".repeat(500_000)).unwrap();
+        let err = DseReport::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, PipelineError::BadConfig { .. }), "{err}");
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //! [`BatchRunner`] can sweep models × sparsity configurations ×
 //! architectures in parallel and return structured [`SweepReport`]s.
 //!
+//! Every grid is a list of [`DsePoint`]s: a [`SweepSpec`] and a [`DseSpec`]
+//! enumerate their points in the same canonical order (models, widths,
+//! pruning specs, geometries), and each point runs through
+//! [`BatchRunner::run_point_pruned`] — in a batched sweep, a [`DseDriver`]
+//! exploration or a served stream alike. Grids that must persist, shard or
+//! resume are [`DseReport`] snapshots.
+//!
 //! ```
 //! use db_pim::prelude::*;
 //!

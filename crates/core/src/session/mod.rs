@@ -16,10 +16,12 @@
 //! * [`SimSession`] — a cache of artifacts keyed by model, shared by every
 //!   consumer (experiment binaries, examples, benches).
 //! * [`BatchRunner`] — executes a [`SweepSpec`] (models × sparsity × arch ×
-//!   operand width × pruning) in parallel over scoped std threads (see [`par`]; rayon
-//!   is unavailable in the offline build environment) and returns a
-//!   structured [`SweepReport`] that serializes and [`SweepReport::merge`]s
-//!   for sharded sweeps.
+//!   operand width × pruning) in parallel over scoped std threads (see
+//!   [`par`]; rayon is unavailable in the offline build environment) and
+//!   returns a structured [`SweepReport`]. A sweep lowers to the same
+//!   [`DsePoint`] list a [`DseSpec`](crate::DseSpec) enumerates, and every
+//!   point — batched, served or explored — runs through
+//!   [`BatchRunner::run_point_pruned`].
 //!
 //! Results are bit-identical to independent [`Pipeline`](crate::Pipeline)
 //! runs — [`Pipeline::run_model`](crate::Pipeline::run_model) itself is a
@@ -29,7 +31,6 @@
 pub mod par;
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -46,9 +47,9 @@ use dbpim_nn::{Model, ModelKind, ModelSummary, QuantizedModel};
 use dbpim_sim::{RunReport, SimConfig, Simulator, SparsityConfig};
 use dbpim_tensor::random::TensorGenerator;
 use dbpim_tensor::PruningSpec;
-use serde::value::{get_field, type_error, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
+use crate::dse::{cross_points, DsePoint};
 use crate::error::PipelineError;
 use crate::measure::measure_input_sparsity;
 use crate::pipeline::{CodesignResult, PipelineConfig};
@@ -770,10 +771,10 @@ impl SimSession {
 ///
 /// Specs serialize (vendored serde_json), so a sweep request can travel over
 /// the wire to a serving daemon or be persisted next to its report. The
-/// serializer is hand-written: the `pruning` axis is omitted when empty and
-/// tolerated when absent, so specs produced before the axis existed — and
-/// specs that simply don't prune — keep their historical wire bytes.
-#[derive(Debug, Clone, PartialEq)]
+/// `pruning` axis is declared last, omitted when empty and tolerated when
+/// absent, so specs produced before the axis existed — and specs that simply
+/// don't prune — keep their historical wire bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Zoo models to sweep (duplicates are executed once).
     pub models: Vec<ModelKind>,
@@ -788,41 +789,45 @@ pub struct SweepSpec {
     /// Value-level pruning specs to sweep (the joint value/bit sparsity
     /// axis); empty means "the session's configured pruning" — by default
     /// the identity spec, i.e. the classic unpruned sweep.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub pruning: Vec<PruningSpec>,
 }
 
-impl Serialize for SweepSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("models".to_string(), self.models.to_value()),
-            ("sparsity".to_string(), self.sparsity.to_value()),
-            ("archs".to_string(), self.archs.to_value()),
-            ("widths".to_string(), self.widths.to_value()),
-        ];
-        if !self.pruning.is_empty() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
+/// `items` with duplicates removed, in first-seen order.
+pub(crate) fn first_seen<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
+    let mut seen = Vec::with_capacity(items.len());
+    for &item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
         }
-        Value::Map(entries)
     }
+    seen
 }
 
-impl Deserialize for SweepSpec {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("sweep spec map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
-        Ok(Self {
-            models: Vec::from_value(field("models")?)?,
-            sparsity: Vec::from_value(field("sparsity")?)?,
-            archs: Vec::from_value(field("archs")?)?,
-            widths: Vec::from_value(field("widths")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => Vec::from_value(found)?,
-                None => Vec::new(),
-            },
-        })
+/// The requested sparsity configurations in canonical Fig. 7 order,
+/// duplicates removed.
+pub(crate) fn canonical_sparsity(requested: &[SparsityConfig]) -> Vec<SparsityConfig> {
+    SparsityConfig::all().into_iter().filter(|s| requested.contains(s)).collect()
+}
+
+/// The requested operand widths in canonical narrow-to-wide order,
+/// duplicates removed, or `session` when none were requested.
+pub(crate) fn widths_or(requested: &[OperandWidth], session: OperandWidth) -> Vec<OperandWidth> {
+    if requested.is_empty() {
+        return vec![session];
     }
+    OperandWidth::all().into_iter().filter(|w| requested.contains(w)).collect()
+}
+
+/// The requested pruning specs in request order, duplicates removed, or
+/// `session` when none were requested. Request order *is* the canonical
+/// order for this axis — fractions are floats, so there is no finite
+/// enumeration to rank by.
+pub(crate) fn pruning_or(requested: &[PruningSpec], session: PruningSpec) -> Vec<PruningSpec> {
+    if requested.is_empty() {
+        return vec![session];
+    }
+    first_seen(requested)
 }
 
 impl SweepSpec {
@@ -877,35 +882,24 @@ impl SweepSpec {
     /// The requested models with duplicates removed, in first-seen order.
     #[must_use]
     pub fn unique_models(&self) -> Vec<ModelKind> {
-        let mut seen = Vec::new();
-        for &kind in &self.models {
-            if !seen.contains(&kind) {
-                seen.push(kind);
-            }
-        }
-        seen
+        first_seen(&self.models)
     }
 
     /// The requested sparsity configurations in canonical Fig. 7 order,
     /// duplicates removed.
     #[must_use]
     pub fn unique_sparsity(&self) -> Vec<SparsityConfig> {
-        // Canonical Fig. 7 order, filtered to the requested set.
-        SparsityConfig::all().into_iter().filter(|s| self.sparsity.contains(s)).collect()
+        canonical_sparsity(&self.sparsity)
     }
 
     /// The geometries the sweep actually runs: the explicit list (deduped,
     /// in request order), or `session_arch` when none were given.
     #[must_use]
     pub fn effective_archs(&self, session_arch: ArchConfig) -> Vec<ArchConfig> {
-        let mut archs: Vec<ArchConfig> = Vec::new();
-        let requested = if self.archs.is_empty() { vec![session_arch] } else { self.archs.clone() };
-        for arch in requested {
-            if !archs.contains(&arch) {
-                archs.push(arch);
-            }
+        if self.archs.is_empty() {
+            return vec![session_arch];
         }
-        archs
+        first_seen(&self.archs)
     }
 
     /// The operand widths the sweep actually runs: the explicit list in
@@ -913,94 +907,60 @@ impl SweepSpec {
     /// given.
     #[must_use]
     pub fn effective_widths(&self, session_width: OperandWidth) -> Vec<OperandWidth> {
-        if self.widths.is_empty() {
-            return vec![session_width];
-        }
-        // Canonical narrow-to-wide order, deduplicated.
-        OperandWidth::all().into_iter().filter(|w| self.widths.contains(w)).collect()
+        widths_or(&self.widths, session_width)
     }
 
     /// The pruning specs the sweep actually runs: the explicit list in
     /// request order (deduplicated), or `session_pruning` when none were
-    /// given. Request order *is* the canonical order for this axis —
-    /// fractions are floats, so there is no finite enumeration to rank by.
+    /// given.
     #[must_use]
     pub fn effective_pruning(&self, session_pruning: PruningSpec) -> Vec<PruningSpec> {
-        if self.pruning.is_empty() {
-            return vec![session_pruning];
-        }
-        let mut specs: Vec<PruningSpec> = Vec::new();
-        for &spec in &self.pruning {
-            if !specs.contains(&spec) {
-                specs.push(spec);
-            }
-        }
-        specs
+        pruning_or(&self.pruning, session_pruning)
+    }
+
+    /// The sweep lowered to DSE points, in the same canonical order as
+    /// [`DseSpec::points`](crate::DseSpec::points): models, then widths,
+    /// then pruning specs, then geometries. Empty axes take `session`'s
+    /// configured arch, width and pruning.
+    #[must_use]
+    pub fn points(&self, session: &PipelineConfig) -> Vec<DsePoint> {
+        cross_points(
+            &self.unique_models(),
+            &self.effective_widths(session.operand_width),
+            &self.effective_pruning(session.pruning),
+            &self.effective_archs(session.arch),
+        )
     }
 }
 
 /// One (model, width, pruning, geometry) result of a sweep.
 ///
-/// Serialization is hand-written so an identity `pruning` spec is omitted —
-/// unpruned sweep reports stay byte-identical to reports written before the
-/// pruning axis existed, and old reports load with `pruning` defaulting to
-/// [`PruningSpec::none`].
-#[derive(Debug, Clone, PartialEq)]
+/// An identity `pruning` spec is omitted (the field is declared last, so an
+/// active one serializes last) — unpruned sweep reports stay byte-identical
+/// to reports written before the pruning axis existed, and old reports load
+/// with `pruning` defaulting to [`PruningSpec::none`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepEntry {
     /// The swept model.
     pub kind: ModelKind,
     /// The weight operand width this entry was approximated and compiled at.
     pub width: OperandWidth,
-    /// The value-level pruning applied before quantization (the identity
-    /// spec for classic unpruned sweeps).
-    pub pruning: PruningSpec,
     /// The geometry this entry was compiled and simulated for.
     pub arch: ArchConfig,
     /// The co-design result; `runs` holds the requested sparsity
     /// configurations in canonical [`SparsityConfig::all`] order.
     pub result: CodesignResult,
-}
-
-impl Serialize for SweepEntry {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("width".to_string(), self.width.to_value()),
-            ("arch".to_string(), self.arch.to_value()),
-            ("result".to_string(), self.result.to_value()),
-        ];
-        if self.pruning.is_active() {
-            entries.push(("pruning".to_string(), self.pruning.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for SweepEntry {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let entries = value.as_map().ok_or_else(|| type_error("sweep entry map", value))?;
-        let field = |name: &str| {
-            get_field(entries, name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))
-        };
-        Ok(Self {
-            kind: ModelKind::from_value(field("kind")?)?,
-            width: OperandWidth::from_value(field("width")?)?,
-            pruning: match get_field(entries, "pruning") {
-                Some(found) => PruningSpec::from_value(found)?,
-                None => PruningSpec::none(),
-            },
-            arch: ArchConfig::from_value(field("arch")?)?,
-            result: CodesignResult::from_value(field("result")?)?,
-        })
-    }
+    /// The value-level pruning applied before quantization (the identity
+    /// spec for classic unpruned sweeps).
+    #[serde(default, skip_serializing_if = "PruningSpec::is_inactive")]
+    pub pruning: PruningSpec,
 }
 
 /// The structured outcome of a [`BatchRunner`] sweep.
 ///
-/// Reports serialize through the vendored `serde_json`
-/// (`serde_json::to_string` / `from_str` round-trips are exercised by the
-/// workspace test suite), so sharded sweeps can persist their partial
-/// reports and [`merge`](Self::merge) them afterwards.
+/// Reports serialize through the vendored `serde_json`, so reports written
+/// by earlier versions still parse. Grids that need persisting, sharding or
+/// resuming go through [`DseReport`](crate::DseReport) snapshots.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepReport {
     /// One entry per (model, width, pruning, geometry), in spec order
@@ -1038,76 +998,6 @@ impl SweepReport {
     pub fn results(&self) -> impl Iterator<Item = &CodesignResult> {
         self.entries.iter().map(|e| &e.result)
     }
-
-    /// Merges another report into this one (sharded sweeps: independent
-    /// processes split a sweep and combine their reports afterwards).
-    ///
-    /// Entries concatenate in order — `self`'s entries first, then `other`'s
-    /// — except that an entry of `other` identical to one already present is
-    /// dropped: overlapping shards of the same deterministic sweep dedupe
-    /// instead of double-counting, and merging a report with itself is the
-    /// identity. Entries that merely share a (model, width, geometry) key
-    /// but differ in content (e.g. shards split by sparsity configuration)
-    /// are both kept.
-    ///
-    /// The wall time is the maximum of the two (shards run in parallel);
-    /// `prepared_models` and `simulated_runs` are recomputed from the
-    /// retained entries (distinct (model, width, pruning) triples and total
-    /// simulation runs respectively), so they stay consistent under overlap.
-    #[must_use]
-    pub fn merge(mut self, other: SweepReport) -> SweepReport {
-        for entry in other.entries {
-            if !self.entries.contains(&entry) {
-                self.entries.push(entry);
-            }
-        }
-        self.wall_time = self.wall_time.max(other.wall_time);
-        let mut prepared: Vec<(ModelKind, OperandWidth, PruningSpec)> = Vec::new();
-        for entry in &self.entries {
-            if !prepared.contains(&(entry.kind, entry.width, entry.pruning)) {
-                prepared.push((entry.kind, entry.width, entry.pruning));
-            }
-        }
-        self.prepared_models = prepared.len();
-        self.simulated_runs = self.entries.iter().map(|e| e.result.runs.len()).sum();
-        self
-    }
-
-    /// Persists the report as JSON (vendored serde_json) at `path`.
-    ///
-    /// Together with [`load`](Self::load) and [`merge`](Self::merge) this is
-    /// the disk half of sharded sweeps: each shard saves its partial report
-    /// and a combiner loads and merges them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] when serialization or the write
-    /// fails (the path is included in the message).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PipelineError> {
-        let path = path.as_ref();
-        let json = serde_json::to_string(self).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot serialize sweep report: {e}"),
-        })?;
-        std::fs::write(path, json).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot write sweep report to {}: {e}", path.display()),
-        })
-    }
-
-    /// Loads a report previously persisted with [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] when the file cannot be read or
-    /// does not parse as a sweep report.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PipelineError> {
-        let path = path.as_ref();
-        let json = std::fs::read_to_string(path).map_err(|e| PipelineError::BadConfig {
-            reason: format!("cannot read sweep report from {}: {e}", path.display()),
-        })?;
-        serde_json::from_str(&json).map_err(|e| PipelineError::BadConfig {
-            reason: format!("malformed sweep report in {}: {e}", path.display()),
-        })
-    }
 }
 
 /// One (operand width, pruning) point of the joint sweep space a
@@ -1116,12 +1006,11 @@ type SessionVariant = (OperandWidth, PruningSpec);
 
 /// Executes [`SweepSpec`]s against a shared [`SimSession`], in parallel.
 ///
-/// Parallelism has two phases: artifact preparation (the expensive
-/// model-side stages plus per-geometry compilation) fans out one task per
-/// distinct (model, width), then simulation fans out one task per (model,
-/// width, geometry, sparsity) point. Compiled programs are reused across
-/// every sparsity configuration of a model — the dense and DB-PIM programs
-/// are each built exactly once per (model, width, geometry).
+/// Sweeps fan out one task per (model, width, pruning) group, so the
+/// expensive model-side preparation runs in parallel across models.
+/// Compiled programs are reused across every sparsity configuration of a
+/// model — the dense and DB-PIM programs are each built exactly once per
+/// (model, width, pruning, geometry).
 ///
 /// The runner keeps one [`SimSession`] per swept (operand width, pruning)
 /// variant (the base session serves its configured pair), so artifacts are
@@ -1249,10 +1138,8 @@ impl BatchRunner {
 
     /// Runs one (model, width, geometry) sweep point and returns its entry,
     /// reusing every cached artifact. `arch == None` means "the session's
-    /// configured geometry". The entry content is bit-identical to the
-    /// corresponding entry of a full [`Self::run_with_fidelity`] sweep —
-    /// both paths draw from the same [`ModelArtifacts`] — which the serving
-    /// layer's round-trip test asserts.
+    /// configured geometry". A full [`Self::run_with_fidelity`] sweep is
+    /// this call once per lowered point, so their entries are identical.
     ///
     /// # Errors
     ///
@@ -1320,6 +1207,12 @@ impl BatchRunner {
     /// Runs a sweep, optionally evaluating fidelity per model (honoured only
     /// when the session configuration has evaluation images).
     ///
+    /// The spec lowers to [`DsePoint`]s and every point goes through
+    /// [`run_point_pruned`](Self::run_point_pruned). Points fan out one task
+    /// per (model, width, pruning) group — each task runs its group's
+    /// geometries in order — so cold preparation stays parallel across
+    /// models while every group prepares its artifacts once.
+    ///
     /// # Errors
     ///
     /// Propagates the first point failure.
@@ -1329,113 +1222,42 @@ impl BatchRunner {
         with_fidelity: bool,
     ) -> Result<SweepReport, PipelineError> {
         let start = Instant::now();
-        let _span = dbpim_trace::span!(
-            "batch.sweep",
-            models = spec.unique_models().len(),
-            fidelity = with_fidelity,
-        );
-        let models = spec.unique_models();
-        let sparsity = spec.unique_sparsity();
-        let archs = spec.effective_archs(self.session.config().arch);
-        let widths = spec.effective_widths(self.session.config().operand_width);
-        let prunings = spec.effective_pruning(self.session.config().pruning);
-        let fidelity = with_fidelity && self.session.config().evaluation_images > 0;
+        let points = spec.points(self.session.config());
+        let _span =
+            dbpim_trace::span!("batch.sweep", points = points.len(), fidelity = with_fidelity);
         // Reject infeasible geometry or pruning overrides before any
         // expensive work.
-        for arch in &archs {
-            arch.validate()?;
+        for point in &points {
+            point.arch.validate()?;
+            point.pruning.validate().map_err(|reason| PipelineError::BadConfig { reason })?;
         }
-        for pruning in &prunings {
-            pruning.validate().map_err(|reason| PipelineError::BadConfig { reason })?;
-        }
-
-        // Phase 1: prepare artifacts, compile every geometry, and (when
-        // requested) evaluate fidelity — one parallel task per (model,
-        // width, pruning). Fidelity only exists on the INT8 executor.
-        let mut tasks = Vec::with_capacity(models.len() * widths.len() * prunings.len());
-        for &kind in &models {
-            for &width in &widths {
-                for &pruning in &prunings {
-                    tasks.push((kind, width, pruning));
-                }
-            }
-        }
-        let prepared = par::par_map(tasks, self.threads, |(kind, width, pruning)| {
-            let session = self.session_for_variant(width, pruning)?;
-            let artifacts = session.artifacts(kind)?;
-            for &arch in &archs {
-                artifacts.programs(arch)?;
-            }
-            if fidelity && width == OperandWidth::Int8 {
-                artifacts.fidelity()?;
-            }
-            Ok::<_, PipelineError>((kind, width, pruning, artifacts))
+        let sparsity = spec.unique_sparsity();
+        let groups: Vec<&[DsePoint]> = points.chunk_by(DsePoint::shares_artifacts).collect();
+        let prepared_models = groups.len();
+        let computed = par::par_map(groups, self.threads, |group| {
+            group
+                .iter()
+                .map(|p| {
+                    self.run_point_pruned(
+                        p.kind,
+                        p.width,
+                        p.pruning,
+                        Some(p.arch),
+                        &sparsity,
+                        with_fidelity,
+                    )
+                })
+                .collect::<Result<Vec<_>, _>>()
         });
-        let mut artifacts_by_point = Vec::with_capacity(prepared.len());
-        for result in prepared {
-            artifacts_by_point.push(result?);
+        let mut entries = Vec::with_capacity(points.len());
+        for group in computed {
+            entries.extend(group?);
         }
-
-        // Phase 2: simulate every (model, width, pruning, arch, sparsity)
-        // point in parallel.
-        let mut points = Vec::new();
-        for (slot, (_, _, _, artifacts)) in artifacts_by_point.iter().enumerate() {
-            for (arch_slot, &arch) in archs.iter().enumerate() {
-                for &config in &sparsity {
-                    points.push((slot, arch_slot, arch, config, Arc::clone(artifacts)));
-                }
-            }
-        }
-        let simulated_runs = points.len();
-        let runs = par::par_map(points, self.threads, |(slot, arch_slot, arch, config, a)| {
-            a.simulate(arch, config).map(|report| (slot, arch_slot, config, report))
-        });
-
-        // Phase 3: assemble entries in deterministic (model, width, pruning,
-        // arch) order.
-        let mut grouped: HashMap<(usize, usize), Vec<(SparsityConfig, RunReport)>> = HashMap::new();
-        for run in runs {
-            let (slot, arch_slot, config, report) = run?;
-            grouped.entry((slot, arch_slot)).or_default().push((config, report));
-        }
-        let mut entries = Vec::new();
-        for (slot, (kind, width, pruning, artifacts)) in artifacts_by_point.iter().enumerate() {
-            for (arch_slot, &arch) in archs.iter().enumerate() {
-                let mut reports = grouped.remove(&(slot, arch_slot)).unwrap_or_default();
-                // Canonical Fig. 7 order.
-                let mut runs = Vec::with_capacity(reports.len());
-                for config in SparsityConfig::all() {
-                    if let Some(pos) = reports.iter().position(|(c, _)| *c == config) {
-                        runs.push(reports.swap_remove(pos).1);
-                    }
-                }
-                let result = CodesignResult {
-                    model_name: artifacts.model().name().to_string(),
-                    summary: artifacts.summary().clone(),
-                    fta_stats: artifacts.fta_stats().clone(),
-                    fidelity: if fidelity && *width == OperandWidth::Int8 {
-                        Some(artifacts.fidelity()?)
-                    } else {
-                        None
-                    },
-                    input_sparsity: artifacts.input_sparsity().clone(),
-                    runs,
-                };
-                entries.push(SweepEntry {
-                    kind: *kind,
-                    width: *width,
-                    pruning: *pruning,
-                    arch,
-                    result,
-                });
-            }
-        }
-
         Ok(SweepReport {
             entries,
             wall_time: start.elapsed(),
-            prepared_models: models.len() * widths.len() * prunings.len(),
-            simulated_runs,
+            prepared_models,
+            simulated_runs: points.len() * sparsity.len(),
         })
     }
 }

@@ -48,14 +48,13 @@
 //! through), but a known flag with a missing or malformed value aborts with
 //! usage on stderr (exit status 2).
 
-use std::str::FromStr;
 use std::time::Duration;
 
 use db_pim::{DseSpec, PruningSpec, SweepReport, SweepSpec};
 use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
-use dbpim_serve::options::{parse_value, OptionsError};
+use dbpim_serve::options::{parse_list, parse_value, OptionsError};
 use dbpim_serve::{Client, RunQuery};
 use dbpim_sim::{ArchGrid, SparsityConfig};
 
@@ -218,15 +217,6 @@ impl CliOptions {
         }
         Ok(options)
     }
-}
-
-/// Parses a comma-separated list, attributing the failing element to the
-/// flag.
-fn parse_list<T: FromStr>(flag: &str, raw: &str) -> Result<Vec<T>, OptionsError>
-where
-    T::Err: std::fmt::Display,
-{
-    raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(|s| parse_value(flag, s)).collect()
 }
 
 fn print_report(report: &SweepReport) {

@@ -34,8 +34,8 @@ impl fmt::Display for OptionsError {
 
 impl std::error::Error for OptionsError {}
 
-/// Parses one flag value, attributing failures to the flag (shared by the
-/// daemon's and the CLI's parsers).
+/// Parses one flag value, attributing failures to the flag (shared by every
+/// command-line parser in the workspace).
 ///
 /// # Errors
 ///
@@ -48,6 +48,20 @@ where
         flag: flag.to_string(),
         message: format!("`{raw}` — {e}"),
     })
+}
+
+/// Parses a comma-separated list of flag values, skipping empty elements
+/// and attributing the failing element to the flag.
+///
+/// # Errors
+///
+/// Returns [`OptionsError`] naming `flag` and the first element that does
+/// not parse as `T`.
+pub fn parse_list<T: FromStr>(flag: &str, raw: &str) -> Result<Vec<T>, OptionsError>
+where
+    T::Err: fmt::Display,
+{
+    raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(|s| parse_value(flag, s)).collect()
 }
 
 /// Command-line options of the `dbpim-served` daemon.

@@ -1021,6 +1021,80 @@ fn handle_request(request: Request, writer: &mut TcpStream, shared: &Shared) -> 
     }
 }
 
+/// How a [`PointStream::run`] ended.
+enum StreamEnd {
+    /// Every point was computed and its frame written.
+    Finished,
+    /// A frame write failed: the peer is gone.
+    Disconnected,
+    /// An expired deadline or a failing point ended the stream; the handler
+    /// answers with this structured error.
+    Aborted(Box<Response>),
+}
+
+/// One streamed grid — the payload of a `Sweep` or `Explore` request.
+struct PointStream<'a> {
+    /// The points, in wire order.
+    points: Vec<db_pim::DsePoint>,
+    /// Sparsity configurations simulated at every point.
+    sparsity: Vec<SparsityConfig>,
+    /// Evaluate fidelity where defined.
+    fidelity: bool,
+    deadline: &'a Deadline,
+    /// The request name deadline errors carry (`Sweep` / `Explore`).
+    request: &'static str,
+    /// What point-failure errors call a point (`sweep` / `exploration`).
+    noun: &'static str,
+}
+
+impl PointStream<'_> {
+    /// The one per-point streaming loop behind `Sweep` and `Explore`.
+    /// Before each point it checks the deadline; it runs the point through
+    /// [`BatchRunner::run_point_pruned`], withholds a result whose deadline
+    /// expired during compute (the client has given up on it, and a fleet
+    /// has already requeued the point elsewhere), and ends the stream on a
+    /// failing point with a structured pipeline error (counted here, written
+    /// by the handler). `emit` writes the handler's own frame for each
+    /// computed entry and returns `true` when the write failed.
+    fn run(
+        self,
+        writer: &mut TcpStream,
+        shared: &Shared,
+        mut emit: impl FnMut(&mut TcpStream, usize, db_pim::SweepEntry) -> bool,
+    ) -> StreamEnd {
+        for (index, point) in self.points.into_iter().enumerate() {
+            if self.deadline.expired() {
+                shared.metrics.incr(M_ERRORS);
+                return StreamEnd::Aborted(Box::new(Deadline::error(self.request)));
+            }
+            let computed = shared.runner.run_point_pruned(
+                point.kind,
+                point.width,
+                point.pruning,
+                Some(point.arch),
+                &self.sparsity,
+                self.fidelity,
+            );
+            let failure = match computed {
+                Ok(_) if self.deadline.expired() => Deadline::error(self.request),
+                Ok(entry) => {
+                    if emit(writer, index, entry) {
+                        return StreamEnd::Disconnected;
+                    }
+                    continue;
+                }
+                Err(e) => error_response(
+                    ErrorKind::Pipeline,
+                    format!("{} point {index} failed: {e}", self.noun),
+                ),
+            };
+            shared.metrics.incr(M_ERRORS);
+            return StreamEnd::Aborted(Box::new(failure));
+        }
+        StreamEnd::Finished
+    }
+}
+
 /// Streams one design-space exploration: `ExploreStarted`, one
 /// `ExplorePoint` per grid point as it completes (canonical spec order,
 /// warm-cache artifacts reused across geometries), then `ExploreFinished`.
@@ -1036,90 +1110,65 @@ fn handle_explore(
     writer: &mut TcpStream,
     shared: &Shared,
 ) -> bool {
-    let shard_fail = |state: ShardState| {
+    let shard_touch = |completed: usize, state: ShardState| {
         if let Some(tag) = shard {
-            shared.shard_touch(tag, 0, state);
+            shared.shard_touch(tag, completed, state);
         }
     };
     if deadline.expired() {
         shared.metrics.incr(M_ERRORS);
-        shard_fail(ShardState::Failed);
+        shard_touch(0, ShardState::Failed);
         return respond(writer, &Deadline::error("Explore"));
     }
-    let session_width = shared.runner.session().config().operand_width;
-    let session_pruning = shared.runner.session().config().pruning;
-    let points = match spec.points(session_width, session_pruning) {
+    let session = shared.runner.session().config();
+    let points = match spec.points(session.operand_width, session.pruning) {
         Ok(points) => points,
         Err(e) => {
             shared.metrics.incr(M_ERRORS);
-            shard_fail(ShardState::Failed);
+            shard_touch(0, ShardState::Failed);
             return respond(writer, &error_response(ErrorKind::Pipeline, e.to_string()));
         }
     };
-    if let Some(tag) = shard {
-        shared.shard_touch(tag, 0, ShardState::Running);
-    }
-    let sparsity = spec.unique_sparsity();
+    shard_touch(0, ShardState::Running);
     let total_points = points.len();
     if respond(writer, &Response::ExploreStarted { total_points }) {
         return true;
     }
 
     let start = Instant::now();
-    for (index, point) in points.into_iter().enumerate() {
-        if deadline.expired() {
-            shared.metrics.incr(M_ERRORS);
-            shard_fail(ShardState::Failed);
-            return respond(writer, &Deadline::error("Explore"));
+    let stream = PointStream {
+        points,
+        sparsity: spec.unique_sparsity(),
+        fidelity: spec.fidelity,
+        deadline: &deadline,
+        request: "Explore",
+        noun: "exploration",
+    };
+    let end = stream.run(writer, shared, |writer, index, entry| {
+        let entry = db_pim::DseEntry::from_sweep(entry);
+        let closed = respond(writer, &Response::ExplorePoint { index, entry });
+        if !closed {
+            shard_touch(1, ShardState::Running);
         }
-        let computed = shared.runner.run_point_pruned(
-            point.kind,
-            point.width,
-            point.pruning,
-            Some(point.arch),
-            &sparsity,
-            spec.fidelity,
-        );
-        match computed {
-            // A point the client gave up on mid-compute is withheld, same
-            // policy as RunModel: the deadline promises when answers stop
-            // being useful, and the fleet has already requeued the point
-            // elsewhere by now.
-            Ok(_) if deadline.expired() => {
-                shared.metrics.incr(M_ERRORS);
-                shard_fail(ShardState::Failed);
-                return respond(writer, &Deadline::error("Explore"));
-            }
-            Ok(entry) => {
-                let entry = db_pim::DseEntry::from_sweep(entry);
-                if respond(writer, &Response::ExplorePoint { index, entry }) {
-                    return true;
-                }
-                if let Some(tag) = shard {
-                    shared.shard_touch(tag, 1, ShardState::Running);
-                }
-            }
-            Err(e) => {
-                shared.metrics.incr(M_ERRORS);
-                shard_fail(ShardState::Failed);
-                return respond(
-                    writer,
-                    &error_response(
-                        ErrorKind::Pipeline,
-                        format!("exploration point {index} failed: {e}"),
-                    ),
-                );
-            }
+        closed
+    });
+    match end {
+        StreamEnd::Finished => {
+            respond(writer, &Response::ExploreFinished { total_points, wall_time: start.elapsed() })
+        }
+        StreamEnd::Disconnected => true,
+        StreamEnd::Aborted(error) => {
+            shard_touch(0, ShardState::Failed);
+            respond(writer, &error)
         }
     }
-
-    respond(writer, &Response::ExploreFinished { total_points, wall_time: start.elapsed() })
 }
 
 /// Streams one sweep: `SweepStarted`, one `SweepPoint` per entry as it
-/// completes, then `SweepFinished`. A failing point is answered with a
-/// pipeline error and ends the stream (but not the connection); an expired
-/// deadline ends it with a `DeadlineExceeded` error the same way.
+/// completes (the spec's DSE point order), then `SweepFinished`. A failing
+/// point is answered with a pipeline error and ends the stream (but not the
+/// connection); an expired deadline ends it with a `DeadlineExceeded` error
+/// the same way.
 fn handle_sweep(
     spec: &db_pim::SweepSpec,
     fidelity: bool,
@@ -1131,75 +1180,39 @@ fn handle_sweep(
         shared.metrics.incr(M_ERRORS);
         return respond(writer, &Deadline::error("Sweep"));
     }
-    let session_config = *shared.runner.session().config();
-    let models = spec.unique_models();
-    let sparsity = spec.unique_sparsity();
-    let archs = spec.effective_archs(session_config.arch);
-    let widths = spec.effective_widths(session_config.operand_width);
-    let prunings = spec.effective_pruning(session_config.pruning);
-
-    let entries = models.len() * widths.len() * prunings.len() * archs.len();
+    let points = spec.points(shared.runner.session().config());
+    let entries = points.len();
     if respond(writer, &Response::SweepStarted { entries }) {
         return true;
     }
 
     let start = Instant::now();
-    let mut index = 0usize;
-    // Deterministic (model, width, pruning, arch) order — identical to the
-    // entry order `BatchRunner::run_with_fidelity` assembles.
-    for &model in &models {
-        for &width in &widths {
-            for &pruning in &prunings {
-                for &arch in &archs {
-                    if deadline.expired() {
-                        shared.metrics.incr(M_ERRORS);
-                        return respond(writer, &Deadline::error("Sweep"));
-                    }
-                    let computed = shared.runner.run_point_pruned(
-                        model,
-                        width,
-                        pruning,
-                        Some(arch),
-                        &sparsity,
-                        fidelity,
-                    );
-                    match computed {
-                        // Same withhold policy as RunModel for a point that
-                        // overran the deadline while computing.
-                        Ok(_) if deadline.expired() => {
-                            shared.metrics.incr(M_ERRORS);
-                            return respond(writer, &Deadline::error("Sweep"));
-                        }
-                        Ok(entry) => {
-                            if respond(writer, &Response::SweepPoint { index, entry }) {
-                                return true;
-                            }
-                        }
-                        Err(e) => {
-                            shared.metrics.incr(M_ERRORS);
-                            return respond(
-                                writer,
-                                &error_response(
-                                    ErrorKind::Pipeline,
-                                    format!("sweep point {index} failed: {e}"),
-                                ),
-                            );
-                        }
-                    }
-                    index += 1;
-                }
-            }
-        }
+    let prepared_models = points.chunk_by(db_pim::DsePoint::shares_artifacts).count();
+    let sparsity = spec.unique_sparsity();
+    let simulated_runs = entries * sparsity.len();
+    let stream = PointStream {
+        points,
+        sparsity,
+        fidelity,
+        deadline: &deadline,
+        request: "Sweep",
+        noun: "sweep",
+    };
+    let end = stream.run(writer, shared, |writer, index, entry| {
+        respond(writer, &Response::SweepPoint { index, entry })
+    });
+    match end {
+        StreamEnd::Finished => respond(
+            writer,
+            &Response::SweepFinished {
+                prepared_models,
+                simulated_runs,
+                wall_time: start.elapsed(),
+            },
+        ),
+        StreamEnd::Disconnected => true,
+        StreamEnd::Aborted(error) => respond(writer, &error),
     }
-
-    respond(
-        writer,
-        &Response::SweepFinished {
-            prepared_models: models.len() * widths.len() * prunings.len(),
-            simulated_runs: entries * sparsity.len(),
-            wall_time: start.elapsed(),
-        },
-    )
 }
 
 #[cfg(test)]

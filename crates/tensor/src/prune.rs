@@ -110,6 +110,13 @@ impl PruningSpec {
         self.fraction > 0.0
     }
 
+    /// `true` when applying the spec changes nothing — the complement of
+    /// [`is_active`](Self::is_active). Serializers skip such specs.
+    #[must_use]
+    pub fn is_inactive(&self) -> bool {
+        !self.is_active()
+    }
+
     /// Validates the fraction: finite and in `[0, 1)` (pruning everything
     /// would leave no computation to map).
     ///
@@ -174,10 +181,6 @@ impl fmt::Display for PruningSpec {
     }
 }
 
-// Hand-written serde: the vendored derive serializes every field
-// unconditionally, but these impls are shared by the spec/entry serializers
-// that must omit identity specs — keeping the wire/disk shape explicit here
-// means one stable encoding everywhere.
 impl std::str::FromStr for PruningSpec {
     type Err = String;
 
@@ -212,6 +215,9 @@ impl std::str::FromStr for PruningSpec {
     }
 }
 
+// Hand-written serde: decoding canonicalizes (every inactive spelling
+// loads as the identity spec), which a derive cannot express. Spec and
+// entry serializers skip inactive specs via `is_inactive`.
 impl Serialize for PruningSpec {
     fn to_value(&self) -> Value {
         Value::Map(vec![

@@ -8,7 +8,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use db_pim::prelude::{ArchConfig, ArchGrid, SparsityConfig};
-use db_pim::{DseDriver, DseSpec, PipelineConfig, SweepSpec};
+use db_pim::{BatchRunner, DseDriver, DseSpec, PipelineConfig, PruningSpec, SweepSpec};
+use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
 use dbpim_serve::protocol::{ErrorKind, Response, ShardAnnotation, ShardState};
 use dbpim_serve::{Client, ClientError, RunQuery, ServeConfig, Server, ServerHandle};
@@ -108,6 +109,77 @@ fn malformed_requests_get_structured_errors_not_disconnects() {
     let stats = client.cache_stats().expect("stats");
     assert_eq!(stats.errors, 5, "every malformed line is counted");
     assert!(stats.requests >= 6, "malformed lines still count as requests");
+
+    client.shutdown().expect("shutdown acknowledged");
+    handle.join().expect("daemon exits cleanly");
+}
+
+/// A frame nested deeper than the JSON parser's cap — 500 000 `[` — used to
+/// overflow a worker's stack and abort the whole daemon. It now gets a
+/// structured error, and the daemon keeps serving on the same connection
+/// and on fresh ones.
+#[test]
+fn deeply_nested_frames_get_a_structured_error_not_a_crash() {
+    let handle = spawn_server();
+    let stream = TcpStream::connect(handle.addr()).expect("connects");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    let response = raw_exchange(&mut reader, &mut writer, &"[".repeat(500_000));
+    assert_bad_request(&response);
+    let Response::Error { error } = response else { unreachable!() };
+    assert!(error.message.contains("nesting"), "{error}");
+
+    match raw_exchange(&mut reader, &mut writer, "\"Ping\"") {
+        Response::Pong { version, .. } => assert_eq!(version, dbpim_serve::PROTOCOL_VERSION),
+        other => panic!("connection should have survived the nesting bomb, got {other:?}"),
+    }
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    client.ping().expect("daemon survived the nesting bomb");
+
+    client.shutdown().expect("shutdown acknowledged");
+    handle.join().expect("daemon exits cleanly");
+}
+
+/// The served `Sweep` stream, a local `BatchRunner` sweep and per-point
+/// `run_point_pruned` calls produce equal entries in equal order: all three
+/// run the same lowered point list. The grid crosses two geometries, two
+/// widths and two pruning specs with fidelity on.
+#[test]
+fn served_sweeps_match_the_batch_runner_point_for_point() {
+    let mut pipeline = server_pipeline();
+    pipeline.evaluation_images = 2;
+    let handle = Server::spawn(ServeConfig { pipeline, ..serve_config() }).expect("server spawns");
+    let mut wide = pipeline.arch;
+    wide.macros *= 2;
+    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
+        .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity])
+        .with_archs(vec![pipeline.arch, wide])
+        .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8])
+        .with_pruning(vec![PruningSpec::none(), PruningSpec::unstructured(0.5)]);
+
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let served = client.sweep(&spec, true).expect("served sweep runs");
+    let runner = BatchRunner::new(pipeline).expect("valid config");
+    let local = runner.run_with_fidelity(&spec, true).expect("local sweep runs");
+    assert_eq!(served.entries, local.entries, "served sweep diverges from the batch runner");
+    assert_eq!(served.entries.len(), 8);
+    assert_eq!((served.prepared_models, served.simulated_runs), (4, 16));
+    assert_eq!((local.prepared_models, local.simulated_runs), (4, 16));
+    assert!(served.entries.iter().any(|e| e.result.fidelity.is_some()), "fidelity was on");
+    for (point, entry) in spec.points(&pipeline).iter().zip(&served.entries) {
+        let single = runner
+            .run_point_pruned(
+                point.kind,
+                point.width,
+                point.pruning,
+                Some(point.arch),
+                &spec.sparsity,
+                true,
+            )
+            .expect("point runs");
+        assert_eq!(&single, entry, "served entry diverges from run_point_pruned");
+    }
 
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");

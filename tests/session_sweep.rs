@@ -133,21 +133,61 @@ fn session_caches_artifacts_per_model() {
     assert!(Arc::ptr_eq(&p1, &p2), "programs were re-compiled");
 }
 
-/// Parallel and sequential execution of the same sweep agree exactly.
+/// Parallel and sequential execution of the same sweep agree exactly, and
+/// both equal running every lowered point through `run_point_pruned` — the
+/// batch path has no engine of its own. The spec crosses two geometries,
+/// two widths and two pruning specs with fidelity on, and its report
+/// round-trips losslessly through serde_json.
 #[test]
 fn parallelism_does_not_change_results() {
-    let spec = SweepSpec::new(vec![ModelKind::AlexNet]);
-    let sequential = BatchRunner::new(small_config())
+    let config = small_config();
+    let mut wide = config.arch;
+    wide.macros *= 2;
+    let spec = SweepSpec::new(vec![ModelKind::AlexNet])
+        .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity])
+        .with_archs(vec![config.arch, wide])
+        .with_widths(vec![OperandWidth::Int4, OperandWidth::Int8])
+        .with_pruning(vec![PruningSpec::none(), PruningSpec::unstructured(0.5)]);
+    let sequential = BatchRunner::new(config)
         .expect("valid config")
         .with_threads(1)
-        .run(&spec)
+        .run_with_fidelity(&spec, true)
         .expect("sequential sweep");
-    let parallel = BatchRunner::new(small_config())
-        .expect("valid config")
-        .with_threads(8)
-        .run(&spec)
-        .expect("parallel sweep");
+    let runner = BatchRunner::new(config).expect("valid config").with_threads(8);
+    let parallel = runner.run_with_fidelity(&spec, true).expect("parallel sweep");
     assert_eq!(sequential.entries, parallel.entries);
+    assert_eq!(parallel.entries.len(), 8);
+    assert_eq!(parallel.prepared_models, 4, "one artifact set per (width, pruning)");
+    assert_eq!(parallel.simulated_runs, 16);
+
+    // Entry order is the lowered point order, and every entry equals the
+    // per-point path.
+    let points = spec.points(&config);
+    assert_eq!(points.len(), parallel.entries.len());
+    for (point, entry) in points.iter().zip(&parallel.entries) {
+        assert_eq!(
+            (entry.kind, entry.width, entry.pruning, entry.arch),
+            (point.kind, point.width, point.pruning, point.arch)
+        );
+        let single = runner
+            .run_point_pruned(
+                point.kind,
+                point.width,
+                point.pruning,
+                Some(point.arch),
+                &spec.sparsity,
+                true,
+            )
+            .expect("point runs");
+        assert_eq!(&single, entry, "batched entry diverges from run_point_pruned");
+    }
+    assert!(parallel.entries.iter().any(|e| e.result.fidelity.is_some()), "fidelity was on");
+
+    // Serialization round-trip is lossless for every field, active pruning
+    // specs included.
+    let json = serde_json::to_string(&parallel).expect("serializes");
+    let back: SweepReport = serde_json::from_str(&json).expect("deserializes");
+    assert_eq!(parallel, back, "sweep report did not survive the JSON round trip");
 }
 
 /// A sparsity subset sweeps only the requested configurations, in canonical
@@ -226,180 +266,6 @@ fn width_sweeps_reuse_cached_artifacts_across_runs() {
     assert!(Arc::ptr_eq(&cached_a, &cached_b), "artifacts were re-prepared");
     let second = runner.run(&spec).expect("second sweep runs");
     assert_eq!(first.entries, second.entries);
-}
-
-/// A `SweepReport` round-trips through the vendored serde_json and merges
-/// shard-style: entries concatenate, counters add up, wall time is the
-/// shard maximum.
-#[test]
-fn sweep_report_merges_and_round_trips_through_serde_json() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let sparsity = vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity];
-    // Two shards of a models × widths sweep, split by model.
-    let shard_a = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet])
-                .with_sparsity(sparsity.clone())
-                .with_widths(vec![OperandWidth::Int8, OperandWidth::Int16]),
-        )
-        .expect("shard a runs");
-    let shard_b = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::MobileNetV2])
-                .with_sparsity(sparsity)
-                .with_widths(vec![OperandWidth::Int8, OperandWidth::Int16]),
-        )
-        .expect("shard b runs");
-
-    // Serialization round-trip is lossless for every field.
-    for shard in [&shard_a, &shard_b] {
-        let json = serde_json::to_string(shard).expect("serializes");
-        let back: SweepReport = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(shard, &back, "sweep report did not survive the JSON round trip");
-    }
-
-    // Merge combines the shards without touching their entries.
-    let expected_wall = shard_a.wall_time.max(shard_b.wall_time);
-    let merged = shard_a.clone().merge(shard_b.clone());
-    assert_eq!(merged.entries.len(), shard_a.entries.len() + shard_b.entries.len());
-    assert_eq!(merged.prepared_models, shard_a.prepared_models + shard_b.prepared_models);
-    assert_eq!(merged.simulated_runs, shard_a.simulated_runs + shard_b.simulated_runs);
-    assert_eq!(merged.wall_time, expected_wall);
-    assert_eq!(
-        merged.result_at_width(ModelKind::AlexNet, OperandWidth::Int16),
-        shard_a.result_at_width(ModelKind::AlexNet, OperandWidth::Int16)
-    );
-    assert_eq!(
-        merged.result_at_width(ModelKind::MobileNetV2, OperandWidth::Int8),
-        shard_b.result_at_width(ModelKind::MobileNetV2, OperandWidth::Int8)
-    );
-    // The merged report still round-trips.
-    let json = serde_json::to_string(&merged).expect("serializes");
-    let back: SweepReport = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(merged, back);
-}
-
-/// The disk half of sharded sweeps: two shards `save` their partial
-/// reports, a combiner `load`s and `merge`s them, and the result is
-/// bit-identical to merging in memory.
-#[test]
-fn sweep_report_shards_round_trip_through_disk_snapshots() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let sparsity = vec![SparsityConfig::DenseBaseline, SparsityConfig::WeightSparsity];
-    let shard_a = runner
-        .run(&SweepSpec::new(vec![ModelKind::AlexNet]).with_sparsity(sparsity.clone()))
-        .expect("shard a runs");
-    let shard_b = runner
-        .run(&SweepSpec::new(vec![ModelKind::MobileNetV2]).with_sparsity(sparsity))
-        .expect("shard b runs");
-
-    let dir =
-        std::env::temp_dir().join(format!("dbpim-shard-test-{}-{}", std::process::id(), line!()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path_a = dir.join("shard_a.json");
-    let path_b = dir.join("shard_b.json");
-    shard_a.save(&path_a).expect("shard a saves");
-    shard_b.save(&path_b).expect("shard b saves");
-
-    let loaded_a = SweepReport::load(&path_a).expect("shard a loads");
-    let loaded_b = SweepReport::load(&path_b).expect("shard b loads");
-    assert_eq!(loaded_a, shard_a, "shard a did not survive the disk round trip");
-    assert_eq!(loaded_b, shard_b, "shard b did not survive the disk round trip");
-
-    let merged_from_disk = loaded_a.merge(loaded_b);
-    let merged_in_memory = shard_a.merge(shard_b);
-    assert_eq!(merged_from_disk, merged_in_memory);
-
-    // Failure shapes are structured errors, not panics.
-    assert!(SweepReport::load(dir.join("missing.json")).is_err());
-    let torn = dir.join("torn.json");
-    std::fs::write(&torn, "{\"entries\":[").expect("write torn file");
-    let err = SweepReport::load(&torn).unwrap_err();
-    assert!(err.to_string().contains("torn.json"), "error names the file: {err}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Overlapping shards: a point present in both shards appears once in the
-/// merged report, counters do not double-count, and merging is idempotent
-/// and deterministic.
-#[test]
-fn overlapping_shards_dedupe_deterministically_on_merge() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let sparsity = vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity];
-    let shard_ab = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet, ModelKind::MobileNetV2])
-                .with_sparsity(sparsity.clone()),
-        )
-        .expect("shard ab runs");
-    let shard_b = runner
-        .run(&SweepSpec::new(vec![ModelKind::MobileNetV2]).with_sparsity(sparsity.clone()))
-        .expect("shard b runs");
-    assert_eq!(shard_ab.entries.len(), 2);
-    assert_eq!(shard_b.entries.len(), 1);
-
-    // The overlapping MobileNetV2 entry is identical in both shards (same
-    // cached artifacts), so the merge drops the duplicate.
-    let merged = shard_ab.clone().merge(shard_b.clone());
-    assert_eq!(merged.entries, shard_ab.entries, "duplicate point was not deduped");
-    assert_eq!(merged.prepared_models, 2, "prepared count double-counted the overlap");
-    assert_eq!(merged.simulated_runs, 4, "simulated count double-counted the overlap");
-
-    // Merge order only affects entry order, never the content: b-then-ab
-    // keeps b's copy first, then adopts ab's non-duplicates.
-    let merged_rev = shard_b.clone().merge(shard_ab.clone());
-    assert_eq!(merged_rev.entries.len(), 2);
-    assert_eq!(merged_rev.entries[0], shard_b.entries[0]);
-    assert_eq!(merged_rev.prepared_models, merged.prepared_models);
-    assert_eq!(merged_rev.simulated_runs, merged.simulated_runs);
-
-    // Self-merge is the identity (up to the recomputed counters, which for
-    // a driver-produced report already equal the content-derived values).
-    let self_merged = shard_ab.clone().merge(shard_ab.clone());
-    assert_eq!(self_merged, shard_ab);
-
-    // A merged report still snapshots and reloads losslessly.
-    let path = std::env::temp_dir().join(format!(
-        "dbpim-overlap-test-{}-{}.json",
-        std::process::id(),
-        line!()
-    ));
-    merged.save(&path).expect("merged report saves");
-    assert_eq!(SweepReport::load(&path).expect("merged report loads"), merged);
-    std::fs::remove_file(&path).ok();
-}
-
-/// Entries that share a (model, width, geometry) key but carry different
-/// content — shards split by sparsity configuration — are both kept:
-/// dedup only ever removes exact duplicates.
-#[test]
-fn sparsity_split_shards_are_not_collapsed_by_merge() {
-    let runner = BatchRunner::new(small_config()).expect("valid config");
-    let dense = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet])
-                .with_sparsity(vec![SparsityConfig::DenseBaseline]),
-        )
-        .expect("dense shard runs");
-    let hybrid = runner
-        .run(
-            &SweepSpec::new(vec![ModelKind::AlexNet])
-                .with_sparsity(vec![SparsityConfig::HybridSparsity]),
-        )
-        .expect("hybrid shard runs");
-
-    let merged = dense.clone().merge(hybrid.clone());
-    assert_eq!(merged.entries.len(), 2, "distinct results for one key must both survive");
-    assert_eq!(merged.prepared_models, 1, "one (model, width) pair across both entries");
-    assert_eq!(merged.simulated_runs, 2);
-    assert_eq!(merged.entries[0], dense.entries[0], "self's entry comes first");
-    assert_eq!(merged.entries[1], hybrid.entries[0]);
-
-    // Merging an empty report in either direction changes nothing.
-    let empty = runner.run(&SweepSpec::new(Vec::new())).expect("empty sweep");
-    assert_eq!(empty.clone().merge(merged.clone()).entries, merged.entries);
-    assert_eq!(merged.clone().merge(empty).entries, merged.entries);
 }
 
 /// The session cache counters observe exactly what happened: one miss per
