@@ -9,10 +9,10 @@
 //! This is the one-shot artifact-evaluation entry point; its output is the
 //! source of the numbers recorded in `EXPERIMENTS.md`.
 
-use dbpim_bench::{experiments, ExperimentContext, ExperimentOptions};
+use dbpim_bench::{experiments, options_from_args, ExperimentContext};
 
 fn main() {
-    let options = ExperimentOptions::from_args();
+    let options = options_from_args();
     let context = match ExperimentContext::new(options) {
         Ok(context) => context,
         Err(e) => {
@@ -20,7 +20,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    println!("DB-PIM reproduction: all experiments (options: {options:?})\n");
+    println!(
+        "DB-PIM reproduction: all experiments (width x{}, seed {}, {} classes, {} calibration \
+         / {} evaluation images, {} weights)\n",
+        options.width_mult,
+        options.seed,
+        options.classes,
+        options.calibration_images,
+        options.evaluation_images,
+        options.operand_width,
+    );
 
     println!("{}", experiments::table1());
     type Generator = fn(&ExperimentContext) -> Result<String, db_pim::PipelineError>;

@@ -1,12 +1,11 @@
 //! `dbpim-fleet` — the sharded sweep orchestrator binary.
 //!
-//! Takes the same grid / pipeline flags as `dse_sweep` (they describe the
+//! Takes the same pipeline and grid flags as `dse_sweep` (they describe the
 //! *what*) plus the fleet flags (the *who*):
 //!
 //! ```text
-//! dbpim-fleet [dse_sweep grid/pipeline flags]
+//! dbpim-fleet [pipeline flags] [grid flags]
 //!             [--workers <n>] [--endpoints host:port,...]
-//!             [--strategy round-robin|contiguous|cost-weighted]
 //!             [--snapshot-dir <dir>] [--fleet-id <name>]
 //!             [--auth-token <secret>]
 //!             [--point-timeout-ms <n>] [--retries <n>]
@@ -33,8 +32,10 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use dbpim_bench::dse::{render_report, DseSweepOptions};
+use db_pim::render_report;
+use dbpim_bench::dse::DseSweepOptions;
 use dbpim_fleet::{FleetDriver, FleetEvent, FleetOptions, FleetProgress};
+use dbpim_serve::options::{GRID_USAGE, PIPELINE_USAGE};
 use dbpim_trace::{log_debug, log_info, log_warn, TraceSink};
 
 fn main() {
@@ -71,14 +72,13 @@ fn main() {
         }
     }
 
-    let spec = sweep.spec();
-    let config = fleet.fleet_config(sweep.base.pipeline_config());
+    let spec = sweep.grid.spec();
+    let config = fleet.fleet_config(sweep.pipeline);
     eprintln!(
-        "dbpim-fleet {}: {} workers ({} remote), strategy {}, snapshots {}",
+        "dbpim-fleet {}: {} workers ({} remote), snapshots {}",
         config.fleet_id,
         config.workers.len(),
         fleet.endpoints.len(),
-        config.strategy,
         config.snapshot_dir.as_ref().map_or("off".to_string(), |d| d.display().to_string()),
     );
 
@@ -246,7 +246,9 @@ fn status_mode(fleet: &FleetOptions) -> ! {
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!("{}", DseSweepOptions::USAGE.replace("dse_sweep", "dbpim-fleet"));
-    eprintln!("       plus {}", FleetOptions::USAGE);
+    eprintln!("usage: dbpim-fleet [pipeline flags] [grid flags] {}", FleetOptions::USAGE);
+    eprintln!("       dbpim-fleet --status --endpoints host:port,... [--auth-token <secret>]");
+    eprintln!("{PIPELINE_USAGE}");
+    eprintln!("{GRID_USAGE}");
     std::process::exit(2);
 }

@@ -8,18 +8,16 @@
 
 use std::time::Instant;
 
-use dbpim_bench::dse::{render_report, DseSweepOptions};
+use db_pim::render_report;
+use dbpim_bench::dse::DseSweepOptions;
+use dbpim_serve::options::{or_exit, GRID_USAGE, PIPELINE_USAGE};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match DseSweepOptions::from_slice(&args) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{}", DseSweepOptions::USAGE);
-            std::process::exit(2);
-        }
-    };
+    let options = or_exit(
+        DseSweepOptions::from_slice(&args),
+        &[DseSweepOptions::USAGE, PIPELINE_USAGE, GRID_USAGE],
+    );
     if let Err(e) = dbpim_trace::log_level_from_args(&args) {
         eprintln!("{e}");
         std::process::exit(2);
@@ -39,7 +37,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let spec = options.spec();
+    let spec = options.grid.spec();
 
     let start = Instant::now();
     match driver.run(&spec) {

@@ -8,12 +8,12 @@
 //!
 //! ```text
 //! serve_bench [--clients <n>] [--requests <n>] [--closed-loop]
-//!             [standard experiment flags]
+//!             [pipeline flags]
 //! ```
 //!
-//! The standard flags (`--width`, `--seed`, `--cal`, `--classes`,
-//! `--operand-width`, …) shape the daemon's pipeline exactly as they shape
-//! every other experiment binary.
+//! The pipeline flags (`--width`, `--seed`, `--images`, `--cal`,
+//! `--classes`, `--operand-width`) shape the daemon's pipeline exactly as
+//! they shape every other binary, `dbpim-served` included.
 //!
 //! `--closed-loop` replaces the latency table with a saturation probe: N
 //! persistent clients hammer one warm point to find the **max sustainable
@@ -28,11 +28,13 @@ use std::time::{Duration, Instant};
 
 use dbpim_bench::ExperimentOptions;
 use dbpim_nn::ModelKind;
-use dbpim_serve::options::parse_value;
+use dbpim_serve::options::{or_exit, pipeline_flag, scan, Flag, OptionsError, PIPELINE_USAGE};
 use dbpim_serve::{Client, ClientError, ErrorKind, RunQuery, ServeConfig, Server};
 
-/// Extra load-shape flags on top of the standard experiment options.
+/// The standard experiment options plus the load-shape flags.
 struct LoadOptions {
+    /// The daemon's pipeline (the shared pipeline flags).
+    pipeline: ExperimentOptions,
     /// Concurrent clients in the throughput phase.
     clients: usize,
     /// Warm requests per client in the throughput phase (and warm repeats
@@ -45,41 +47,35 @@ struct LoadOptions {
 impl LoadOptions {
     fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        let closed_loop = args.iter().any(|arg| arg == "--closed-loop");
-        let mut options = Self { clients: 4, requests: 16, closed_loop };
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if flag != "--clients" && flag != "--requests" {
-                i += 1;
-                continue;
+        let mut options = Self {
+            pipeline: ExperimentOptions::paper(),
+            clients: 4,
+            requests: 16,
+            closed_loop: false,
+        };
+        let positive = |flag: &mut Flag<'_>| match flag.value::<usize>()? {
+            0 => Err(OptionsError {
+                flag: flag.name().to_string(),
+                message: "must be positive".to_string(),
+            }),
+            value => Ok(value),
+        };
+        let parsed = scan(&args, |flag| {
+            match flag.name() {
+                "--clients" => options.clients = positive(flag)?,
+                "--requests" => options.requests = positive(flag)?,
+                "--closed-loop" => options.closed_loop = true,
+                _ => return pipeline_flag(&mut options.pipeline, flag),
             }
-            let result = args
-                .get(i + 1)
-                .ok_or_else(|| dbpim_serve::OptionsError {
-                    flag: flag.to_string(),
-                    message: "missing value".to_string(),
-                })
-                .and_then(|raw| parse_value::<usize>(flag, raw));
-            match result {
-                Ok(value) if value > 0 => {
-                    if flag == "--clients" {
-                        options.clients = value;
-                    } else {
-                        options.requests = value;
-                    }
-                }
-                Ok(_) => {
-                    eprintln!("invalid value for `{flag}`: must be positive");
-                    std::process::exit(2);
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        }
+            Ok(true)
+        });
+        or_exit(
+            parsed,
+            &[
+                "usage: serve_bench [--clients <n>] [--requests <n>] [--closed-loop]",
+                PIPELINE_USAGE,
+            ],
+        );
         options
     }
 }
@@ -98,18 +94,17 @@ fn summarize(mut samples: Vec<Duration>) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let options = ExperimentOptions::from_args();
     let load = LoadOptions::from_args();
+    let options = load.pipeline;
+
     // Fidelity is a per-request opt-in over the wire; the load shapes below
     // never request it, so the daemon keeps evaluation capacity configured
     // but idle.
-    let pipeline = options.pipeline_config();
-
     let handle = Server::spawn(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: load.clients.max(2),
         poll_interval: Duration::from_millis(100),
-        pipeline,
+        pipeline: options,
         // The saturation probe needs admission control to actually bite:
         // with the default 64-deep backlog every overload connection would
         // just queue.
@@ -123,7 +118,7 @@ fn main() {
     let addr = handle.addr();
 
     if load.closed_loop {
-        closed_loop_probe(&handle, &load, &options);
+        closed_loop_probe(&handle, &load);
     }
 
     println!("# Serving layer: cold vs. warm request latency\n");
@@ -227,11 +222,7 @@ fn main() {
 /// The closed-loop saturation probe (`--closed-loop`): find the max
 /// sustainable warm-request rate, then offer ~4x that load and count the
 /// structured `Overloaded` rejections. Never returns.
-fn closed_loop_probe(
-    handle: &dbpim_serve::ServerHandle,
-    load: &LoadOptions,
-    options: &ExperimentOptions,
-) -> ! {
+fn closed_loop_probe(handle: &dbpim_serve::ServerHandle, load: &LoadOptions) -> ! {
     const WINDOW: Duration = Duration::from_secs(3);
     let addr = handle.addr();
 
@@ -250,7 +241,7 @@ fn closed_loop_probe(
     println!(
         "In-process `dbpim-served` on {addr}, width_mult {}, {} worker threads, accept \
          backlog 2, warm AlexNet point, {:?} measurement windows.\n",
-        options.width_mult,
+        load.pipeline.width_mult,
         load.clients.max(2),
         WINDOW,
     );

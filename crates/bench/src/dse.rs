@@ -1,61 +1,32 @@
-//! The `dse_sweep` experiment: strict option parsing, driver wiring and
-//! deterministic report rendering for design-space explorations.
+//! The `dse_sweep` experiment's command line: the shared pipeline and grid
+//! flags plus the single-driver controls.
 //!
 //! ```text
-//! dse_sweep [pipeline flags: --width --seed --images --cal --classes --operand-width]
-//!           [--macros 2,4,8] [--compartments a,b] [--dbmus a,b] [--rows 32,64]
-//!           [--freqs 250,500] [--feature-kb a,b] [--weight-kb a,b] [--meta-kb a,b]
-//!           [--models alexnet,vgg19] [--widths 4,8] [--pruning 0.3,s0.5]
-//!           [--sparsity base,hybrid]
-//!           [--fidelity] [--snapshot <path>] [--limit-points <n>]
-//!           [--batch <n>] [--threads <n>]
+//! dse_sweep [pipeline flags] [grid flags]
+//!           [--snapshot <path>] [--limit-points <n>] [--batch <n>] [--threads <n>]
+//!           [--trace-out <path>] [--log-level error|warn|info|debug]
 //! ```
 //!
-//! The rendered report (stdout) is a pure function of the computed results —
-//! timings and cache counters go to stderr — so the CI resume smoke test can
-//! `diff` a cold run against a resumed one.
-
-use std::fmt::Write as _;
+//! The pipeline flags are [`pipeline_flag`]'s and the grid flags
+//! [`GridOptions`]', the same blocks `dbpim-served`, `dbpim-fleet` and
+//! `dbpim-cli` parse. The rendered report ([`db_pim::render_report`],
+//! stdout) is a pure function of the computed results — timings and cache
+//! counters go to stderr — so the CI resume smoke test can `diff` a cold run
+//! against a resumed one.
 
 use db_pim::prelude::*;
 use db_pim::PipelineError;
-use dbpim_serve::options::{parse_list, parse_value};
+use dbpim_serve::options::{pipeline_flag, scan, GridOptions};
 
-use crate::{pct, ExperimentOptions, OptionsError};
+use crate::{ExperimentOptions, OptionsError};
 
-/// Strictly parsed `dse_sweep` command line: the shared pipeline flags plus
-/// the grid axes and driver controls.
+/// Strictly parsed `dse_sweep` command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DseSweepOptions {
     /// The shared pipeline flags (`--width`, `--seed`, ...).
-    pub base: ExperimentOptions,
-    /// Macro-count axis (empty = the paper value).
-    pub macros: Vec<usize>,
-    /// Compartments-per-macro axis.
-    pub compartments: Vec<usize>,
-    /// DBMU-columns axis.
-    pub dbmus: Vec<usize>,
-    /// Rows-per-DBMU axis.
-    pub rows: Vec<usize>,
-    /// Frequency axis in MHz.
-    pub freqs: Vec<f64>,
-    /// Feature-buffer axis in KB.
-    pub feature_kb: Vec<usize>,
-    /// Weight-buffer axis in KB.
-    pub weight_kb: Vec<usize>,
-    /// Meta-buffer axis in KB.
-    pub meta_kb: Vec<usize>,
-    /// Models to explore (empty = all five paper models).
-    pub models: Vec<ModelKind>,
-    /// Operand-width axis (empty = the `--operand-width` value).
-    pub widths: Vec<OperandWidth>,
-    /// Value-level pruning axis (empty = no pruning): `0.3` for an
-    /// unstructured fraction, `s0.5` for structured per-channel removal.
-    pub pruning: Vec<PruningSpec>,
-    /// Sparsity configurations (empty = all four).
-    pub sparsity: Vec<SparsityConfig>,
-    /// Evaluate fidelity where defined.
-    pub fidelity: bool,
+    pub pipeline: ExperimentOptions,
+    /// The shared grid flags (`--macros`, `--models`, `--sparsity`, ...).
+    pub grid: GridOptions,
     /// Snapshot path to persist to and resume from.
     pub snapshot: Option<String>,
     /// Compute at most this many missing points this run.
@@ -67,33 +38,9 @@ pub struct DseSweepOptions {
 }
 
 impl DseSweepOptions {
-    /// The grid / driver flags this parser understands on top of
-    /// [`ExperimentOptions::FLAGS`].
-    pub const FLAGS: [&'static str; 16] = [
-        "--macros",
-        "--compartments",
-        "--dbmus",
-        "--rows",
-        "--freqs",
-        "--feature-kb",
-        "--weight-kb",
-        "--meta-kb",
-        "--models",
-        "--widths",
-        "--pruning",
-        "--sparsity",
-        "--snapshot",
-        "--limit-points",
-        "--batch",
-        "--threads",
-    ];
-
-    /// One-line usage text for the binary.
-    pub const USAGE: &'static str = "usage: dse_sweep [--width <f32>] [--seed <u64>] \
-         [--images <n>] [--cal <n>] [--classes <n>] [--operand-width <4|8|12|16>] \
-         [--macros a,b] [--compartments a,b] [--dbmus a,b] [--rows a,b] [--freqs a,b] \
-         [--feature-kb a,b] [--weight-kb a,b] [--meta-kb a,b] [--models a,b] \
-         [--widths 4,8,...] [--pruning 0.3,s0.5,...] [--sparsity base,hybrid,...] [--fidelity] \
+    /// Usage of the binary (the pipeline and grid flags follow on their
+    /// own lines).
+    pub const USAGE: &'static str = "usage: dse_sweep [pipeline flags] [grid flags] \
          [--snapshot <path>] [--limit-points <n>] [--batch <n>] [--threads <n>] \
          [--trace-out <path>] [--log-level error|warn|info|debug]";
 
@@ -104,93 +51,29 @@ impl DseSweepOptions {
     ///
     /// Returns [`OptionsError`] naming the offending flag.
     pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
-        let base = ExperimentOptions::from_slice(args)?;
         let mut options = Self {
-            base,
-            macros: Vec::new(),
-            compartments: Vec::new(),
-            dbmus: Vec::new(),
-            rows: Vec::new(),
-            freqs: Vec::new(),
-            feature_kb: Vec::new(),
-            weight_kb: Vec::new(),
-            meta_kb: Vec::new(),
-            models: Vec::new(),
-            widths: Vec::new(),
-            pruning: Vec::new(),
-            sparsity: Vec::new(),
-            fidelity: false,
+            pipeline: ExperimentOptions::paper(),
+            grid: GridOptions::default(),
             snapshot: None,
             limit_points: None,
             batch: None,
             threads: None,
         };
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if flag == "--fidelity" {
-                options.fidelity = true;
-                i += 1;
-                continue;
+        scan(args, |flag| {
+            match flag.name() {
+                "--snapshot" => options.snapshot = Some(flag.raw()?.to_string()),
+                "--limit-points" => options.limit_points = Some(flag.value()?),
+                "--batch" => options.batch = Some(flag.value()?),
+                "--threads" => options.threads = Some(flag.value()?),
+                _ => {
+                    return Ok(
+                        pipeline_flag(&mut options.pipeline, flag)? || options.grid.flag(flag)?
+                    )
+                }
             }
-            if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: flag.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match flag {
-                "--macros" => options.macros = parse_list(flag, raw)?,
-                "--compartments" => options.compartments = parse_list(flag, raw)?,
-                "--dbmus" => options.dbmus = parse_list(flag, raw)?,
-                "--rows" => options.rows = parse_list(flag, raw)?,
-                "--freqs" => options.freqs = parse_list(flag, raw)?,
-                "--feature-kb" => options.feature_kb = parse_list(flag, raw)?,
-                "--weight-kb" => options.weight_kb = parse_list(flag, raw)?,
-                "--meta-kb" => options.meta_kb = parse_list(flag, raw)?,
-                "--models" => options.models = parse_list(flag, raw)?,
-                "--widths" => options.widths = parse_list(flag, raw)?,
-                "--pruning" => options.pruning = parse_list(flag, raw)?,
-                "--sparsity" => options.sparsity = parse_list(flag, raw)?,
-                "--snapshot" => options.snapshot = Some(raw.clone()),
-                "--limit-points" => options.limit_points = Some(parse_value(flag, raw)?),
-                "--batch" => options.batch = Some(parse_value(flag, raw)?),
-                "--threads" => options.threads = Some(parse_value(flag, raw)?),
-                _ => unreachable!("flag list and match arms agree"),
-            }
-            i += 2;
-        }
+            Ok(true)
+        })?;
         Ok(options)
-    }
-
-    /// The exploration spec these options describe. Buffer axes given in KB
-    /// are converted to bytes here.
-    #[must_use]
-    pub fn spec(&self) -> DseSpec {
-        let kb = |values: &[usize]| values.iter().map(|v| v * 1024).collect::<Vec<_>>();
-        let mut grid = ArchGrid::around(ArchConfig::paper());
-        grid.macros = self.macros.clone();
-        grid.compartments_per_macro = self.compartments.clone();
-        grid.dbmus_per_compartment = self.dbmus.clone();
-        grid.rows_per_dbmu = self.rows.clone();
-        grid.frequency_mhz = self.freqs.clone();
-        grid.feature_buffer_bytes = kb(&self.feature_kb);
-        grid.weight_buffer_bytes = kb(&self.weight_kb);
-        grid.meta_buffer_bytes = kb(&self.meta_kb);
-        let models =
-            if self.models.is_empty() { ModelKind::all().to_vec() } else { self.models.clone() };
-        let mut spec = DseSpec::new(grid, models)
-            .with_widths(self.widths.clone())
-            .with_pruning(self.pruning.clone());
-        if !self.sparsity.is_empty() {
-            spec = spec.with_sparsity(self.sparsity.clone());
-        }
-        if self.fidelity {
-            spec = spec.with_fidelity();
-        }
-        spec
     }
 
     /// A driver configured from these options.
@@ -200,7 +83,7 @@ impl DseSweepOptions {
     /// Returns [`PipelineError::BadConfig`] for an unusable pipeline
     /// configuration.
     pub fn driver(&self) -> Result<DseDriver, PipelineError> {
-        let mut driver = DseDriver::new(self.base.pipeline_config())?;
+        let mut driver = DseDriver::new(self.pipeline)?;
         if let Some(path) = &self.snapshot {
             driver = driver.with_snapshot(path);
         }
@@ -215,113 +98,6 @@ impl DseSweepOptions {
         }
         Ok(driver)
     }
-}
-
-/// Renders a [`DseReport`] as a deterministic text table: one row per
-/// (point, sparsity run) plus a Pareto-frontier section per model.
-///
-/// The output is a pure function of the results — no timestamps, wall
-/// times or cache counters — so two runs over the same grid (cold, or
-/// resumed from a half-deleted snapshot) render byte-identical reports.
-#[must_use]
-pub fn render_report(report: &DseReport) -> String {
-    let area = AreaModel::calibrated_28nm();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "DSE sweep - {} of {} grid points ({} models x {} widths x geometries)",
-        report.entries.len(),
-        report.total_points,
-        report.spec.unique_models().len(),
-        report.spec.effective_widths(OperandWidth::Int8).len(),
-    );
-    let _ = writeln!(
-        out,
-        "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10} {:>10} {:>8}",
-        "model",
-        "width",
-        "macros",
-        "comp",
-        "dbmus",
-        "rows",
-        "MHz",
-        "sparsity",
-        "cycles",
-        "lat (ms)",
-        "uJ",
-        "speedup"
-    );
-    for entry in &report.entries {
-        let has_baseline = entry.result.run(SparsityConfig::DenseBaseline).is_some();
-        for run in &entry.result.runs {
-            let speedup = if has_baseline {
-                format!("{:.2}x", entry.result.speedup(run.sparsity))
-            } else {
-                "n/a".to_string()
-            };
-            // An active pruning spec rides in the width cell (`int8/u0.50`);
-            // unpruned rows keep the historical rendering byte-for-byte.
-            let width_cell = if entry.pruning.is_active() {
-                format!("{}/{}", entry.width, entry.pruning.label())
-            } else {
-                entry.width.to_string()
-            };
-            let _ = writeln!(
-                out,
-                "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10.4} {:>10.3} {:>8}",
-                entry.kind.name(),
-                width_cell,
-                entry.arch.macros,
-                entry.arch.compartments_per_macro,
-                entry.arch.dbmus_per_compartment,
-                entry.arch.rows_per_dbmu,
-                entry.arch.frequency_mhz,
-                run.sparsity.to_string(),
-                run.total_cycles(),
-                run.latency_ms(),
-                run.total_energy_uj(),
-                speedup,
-            );
-        }
-    }
-    for kind in report.spec.unique_models() {
-        for sparsity in report.spec.unique_sparsity() {
-            let frontier = report.pareto_frontier(kind, sparsity);
-            if frontier.is_empty() {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "pareto frontier [{} / {}] (latency, energy, area{}):",
-                kind.name(),
-                sparsity,
-                if report.spec.fidelity { ", fidelity" } else { "" },
-            );
-            for (index, metrics) in frontier {
-                let entry = &report.entries[index];
-                let pruning_tag = if entry.pruning.is_active() {
-                    format!(" [{}]", entry.pruning.label())
-                } else {
-                    String::new()
-                };
-                let _ = writeln!(
-                    out,
-                    "  {} @ {}{}: {} macros x {} rows @ {} MHz — {:.4} ms, {:.3} uJ, {:.4} mm2, loss {}",
-                    entry.kind.name(),
-                    entry.width,
-                    pruning_tag,
-                    entry.arch.macros,
-                    entry.arch.rows_per_dbmu,
-                    entry.arch.frequency_mhz,
-                    metrics.latency_ms,
-                    metrics.energy_uj,
-                    area.total_mm2(&entry.arch),
-                    pct(metrics.fidelity_loss),
-                );
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -364,24 +140,24 @@ mod tests {
             "--fidelity",
         ]))
         .unwrap();
-        assert!((options.base.width_mult - 0.25).abs() < 1e-6);
-        assert_eq!(options.macros, vec![2, 4, 8]);
-        assert_eq!(options.rows, vec![32, 64]);
-        assert_eq!(options.freqs, vec![250.0, 500.0]);
-        assert_eq!(options.weight_kb, vec![32, 64]);
-        assert_eq!(options.models, vec![ModelKind::AlexNet, ModelKind::MobileNetV2]);
-        assert_eq!(options.widths, vec![OperandWidth::Int4, OperandWidth::Int8]);
+        assert!((options.pipeline.width_mult - 0.25).abs() < 1e-6);
+        assert_eq!(options.grid.macros, vec![2, 4, 8]);
+        assert_eq!(options.grid.rows, vec![32, 64]);
+        assert_eq!(options.grid.freqs, vec![250.0, 500.0]);
+        assert_eq!(options.grid.weight_kb, vec![32, 64]);
+        assert_eq!(options.grid.models, vec![ModelKind::AlexNet, ModelKind::MobileNetV2]);
+        assert_eq!(options.grid.widths, vec![OperandWidth::Int4, OperandWidth::Int8]);
         assert_eq!(
-            options.sparsity,
+            options.grid.sparsity,
             vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]
         );
         assert_eq!(options.snapshot.as_deref(), Some("/tmp/dse.json"));
         assert_eq!(options.limit_points, Some(24));
         assert_eq!(options.batch, Some(4));
         assert_eq!(options.threads, Some(2));
-        assert!(options.fidelity);
+        assert!(options.grid.fidelity);
 
-        let spec = options.spec();
+        let spec = options.grid.spec();
         assert_eq!(spec.grid.macros, vec![2, 4, 8]);
         assert_eq!(spec.grid.weight_buffer_bytes, vec![32 * 1024, 64 * 1024]);
         assert_eq!(spec.points(OperandWidth::Int8, PruningSpec::none()).unwrap().len(), 2 * 2 * 24);
@@ -409,7 +185,7 @@ mod tests {
     #[test]
     fn defaults_cover_the_paper_models_on_the_paper_point() {
         let options = DseSweepOptions::from_slice(&args(&[])).unwrap();
-        let spec = options.spec();
+        let spec = options.grid.spec();
         assert_eq!(spec.models.len(), 5);
         assert_eq!(spec.grid, ArchGrid::around(ArchConfig::paper()));
         assert_eq!(spec.points(OperandWidth::Int8, PruningSpec::none()).unwrap().len(), 5);
@@ -417,21 +193,40 @@ mod tests {
         assert!(!spec.fidelity);
     }
 
+    /// One command line means one pipeline: the daemon, `dse_sweep`, the
+    /// experiment binaries and `dbpim-fleet` derive the identical
+    /// configuration from the same argument list, defaults included — so
+    /// a fleet mixing local workers and daemons merges points computed
+    /// under one configuration.
     #[test]
-    fn rendered_report_is_deterministic_for_identical_results() {
-        let config = db_pim::PipelineConfig::fast().without_fidelity();
-        let driver = DseDriver::new(config).unwrap();
-        let spec = DseSpec::new(
-            ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]),
-            vec![ModelKind::MobileNetV2],
-        )
-        .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]);
-        let first = driver.run(&spec).unwrap();
-        let second = driver.run(&spec).unwrap();
-        assert!(first.results_match(&second));
-        let rendered = render_report(&first);
-        assert_eq!(rendered, render_report(&second), "rendering leaked non-determinism");
-        assert!(rendered.contains("pareto frontier"));
-        assert!(rendered.contains("MobileNetV2"));
+    fn same_flags_give_the_same_pipeline_everywhere() {
+        for argv in [
+            args(&[]),
+            args(&[
+                "--width",
+                "0.25",
+                "--classes",
+                "10",
+                "--images",
+                "0",
+                "--macros",
+                "2",
+                "--models",
+                "alexnet",
+                "--sparsity",
+                "hybrid",
+            ]),
+            args(&["--seed", "7", "--cal", "0", "--operand-width", "4", "--workers", "2"]),
+        ] {
+            let served = dbpim_serve::ServeOptions::from_slice(&argv).unwrap();
+            let sweep = DseSweepOptions::from_slice(&argv).unwrap();
+            let experiment = dbpim_serve::options::parse_pipeline(&argv).unwrap();
+            let fleet = dbpim_fleet::FleetOptions::from_slice(&argv).unwrap();
+            let fleet_pipeline = fleet.fleet_config(sweep.pipeline).pipeline;
+            assert_eq!(sweep.pipeline, served.pipeline, "dse_sweep vs daemon on {argv:?}");
+            assert_eq!(experiment, served.pipeline, "experiments vs daemon on {argv:?}");
+            assert_eq!(fleet_pipeline, served.pipeline, "dbpim-fleet vs daemon on {argv:?}");
+            assert_eq!(served.serve_config().pipeline, served.pipeline);
+        }
     }
 }

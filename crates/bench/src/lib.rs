@@ -1,8 +1,8 @@
 //! Shared infrastructure for the experiment report generators.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation section. This library provides the pieces they share: strict
-//! command-line option parsing, the [`ExperimentContext`] (a
+//! evaluation section. This library provides the pieces they share: the
+//! experiment options (the shared pipeline flags), the [`ExperimentContext`] (a
 //! [`BatchRunner`]-backed simulation session every generator draws cached
 //! artifacts from), lightweight weight-only sparsity analysis (Fig. 2(a)),
 //! activation bit-column analysis (Fig. 2(b)), full sweeps (Table 2, Fig. 7,
@@ -17,7 +17,7 @@ use db_pim::PipelineError;
 use dbpim_fta::stats::{LayerFtaStats, ModelFtaStats};
 use dbpim_fta::LayerApprox;
 use dbpim_nn::Layer;
-use dbpim_serve::options::parse_value;
+use dbpim_serve::options::{or_exit, parse_pipeline, PIPELINE_USAGE};
 use dbpim_tensor::quant::QuantizedTensor;
 use dbpim_tensor::stats::zero_bit_column_ratio;
 
@@ -25,125 +25,25 @@ pub mod dse;
 pub mod experiments;
 pub mod reference;
 
-/// A malformed experiment command line (the serving binaries' error type:
-/// every command line in the workspace reports flags the same way).
+/// A malformed experiment command line (every command line in the
+/// workspace reports flags the same way).
 pub use dbpim_serve::OptionsError;
 
-/// Command-line options shared by every experiment binary.
+/// The experiment binaries' options: exactly the shared pipeline flags
+/// (`dbpim_serve::options::pipeline_flag`), on top of
+/// [`PipelineConfig::paper()`] — the same defaults as the daemon's, so one
+/// command line means one pipeline in every binary.
+pub type ExperimentOptions = PipelineConfig;
+
+/// Parses the experiment options from the process arguments.
 ///
-/// ```text
-/// --width <f32>    channel width multiplier (default 1.0 = the paper's models)
-/// --seed <u64>     synthetic-weight seed (default 42)
-/// --images <usize> evaluation images for fidelity experiments (default 16)
-/// --cal <usize>    calibration images (default 2)
-/// --classes <usize> output classes (default 100)
-/// --operand-width <4|8|12|16>  weight operand width (default 8 = the paper)
-/// ```
-///
-/// Unknown flags are ignored (so wrappers can pass extra arguments through),
-/// but a known flag with a missing or malformed value is an error — silently
-/// falling back to defaults would mislabel every number in the generated
-/// report. `--operand-width` in particular rejects anything that is not one
-/// of the supported widths (e.g. `--operand-width 10` or `wide`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExperimentOptions {
-    /// Channel width multiplier applied to every zoo model.
-    pub width_mult: f32,
-    /// Seed for synthetic weights and data.
-    pub seed: u64,
-    /// Number of labelled evaluation images (Table 2).
-    pub evaluation_images: usize,
-    /// Number of calibration images (quantization + input sparsity).
-    pub calibration_images: usize,
-    /// Number of output classes.
-    pub classes: usize,
-    /// Weight operand width the pipeline runs at (INT8 = the paper).
-    pub operand_width: OperandWidth,
-}
-
-impl Default for ExperimentOptions {
-    fn default() -> Self {
-        Self {
-            width_mult: 1.0,
-            seed: 42,
-            evaluation_images: 16,
-            calibration_images: 2,
-            classes: 100,
-            operand_width: OperandWidth::Int8,
-        }
-    }
-}
-
-impl ExperimentOptions {
-    /// The flags this parser understands.
-    pub const FLAGS: [&'static str; 6] =
-        ["--width", "--seed", "--images", "--cal", "--classes", "--operand-width"];
-
-    /// Parses options from the process arguments.
-    ///
-    /// Prints the error and usage to stderr and exits with status 2 on a
-    /// malformed command line.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        match Self::from_slice(&args) {
-            Ok(options) => options,
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!(
-                    "usage: [--width <f32>] [--seed <u64>] [--images <n>] [--cal <n>] \
-                     [--classes <n>] [--operand-width <4|8|12|16>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses options from an explicit argument list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptionsError`] when a known flag has a missing or
-    /// malformed value. Unknown arguments are ignored.
-    pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
-        let mut options = Self::default();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: flag.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match flag {
-                "--width" => options.width_mult = parse_value(flag, raw)?,
-                "--seed" => options.seed = parse_value(flag, raw)?,
-                "--images" => options.evaluation_images = parse_value(flag, raw)?,
-                "--cal" => options.calibration_images = parse_value(flag, raw)?,
-                "--classes" => options.classes = parse_value(flag, raw)?,
-                "--operand-width" => options.operand_width = parse_value(flag, raw)?,
-                _ => unreachable!("flag list and match arms agree"),
-            }
-            i += 2;
-        }
-        Ok(options)
-    }
-
-    /// The pipeline configuration equivalent to these options.
-    #[must_use]
-    pub fn pipeline_config(&self) -> PipelineConfig {
-        let mut config = PipelineConfig::paper();
-        config.width_mult = self.width_mult;
-        config.seed = self.seed;
-        config.calibration_images = self.calibration_images.max(1);
-        config.evaluation_images = self.evaluation_images;
-        config.classes = self.classes;
-        config.operand_width = self.operand_width;
-        config
-    }
+/// Prints the error and usage to stderr and exits with status 2 on a
+/// malformed command line.
+#[must_use]
+pub fn options_from_args() -> ExperimentOptions {
+    let args: Vec<String> = std::env::args().collect();
+    let usage = "usage: [pipeline flags] [--trace-out <path>] [--log-level error|warn|info|debug]";
+    or_exit(parse_pipeline(&args), &[usage, PIPELINE_USAGE])
 }
 
 /// The shared state of one experiment invocation: parsed options plus a
@@ -169,7 +69,7 @@ impl ExperimentContext {
     ///
     /// Returns [`PipelineError::BadConfig`] for unusable option values.
     pub fn new(options: ExperimentOptions) -> Result<Self, PipelineError> {
-        let runner = BatchRunner::new(options.pipeline_config())?;
+        let runner = BatchRunner::new(options)?;
         Ok(Self { options, runner, zoo_sweeps: std::sync::Mutex::new([None, None]) })
     }
 
@@ -238,7 +138,7 @@ where
             std::process::exit(2);
         }
     };
-    let options = ExperimentOptions::from_args();
+    let options = options_from_args();
     let result = ExperimentContext::new(options).and_then(|context| generate(&context));
     if let Some(sink) = trace {
         if let Err(e) = sink.finish() {
@@ -375,25 +275,25 @@ mod tests {
         .iter()
         .map(ToString::to_string)
         .collect();
-        let options = ExperimentOptions::from_slice(&args).unwrap();
+        let options = parse_pipeline(&args).unwrap();
         assert!((options.width_mult - 0.5).abs() < 1e-6);
         assert_eq!(options.seed, 7);
         assert_eq!(options.evaluation_images, 4);
         assert_eq!(options.calibration_images, 3);
         assert_eq!(options.classes, 10);
-        let config = options.pipeline_config();
+        let config = options;
         assert_eq!(config.classes, 10);
     }
 
     #[test]
     fn malformed_values_are_rejected_not_swallowed() {
         let args: Vec<String> = ["--width", "abc"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse_pipeline(&args).unwrap_err();
         assert_eq!(err.flag, "--width");
         assert!(err.message.contains("abc"), "{err}");
 
         let args: Vec<String> = ["--seed"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse_pipeline(&args).unwrap_err();
         assert_eq!(err.flag, "--seed");
         assert!(err.to_string().contains("missing"), "{err}");
 
@@ -412,9 +312,9 @@ mod tests {
         ] {
             let args: Vec<String> =
                 ["--operand-width", raw].iter().map(ToString::to_string).collect();
-            let options = ExperimentOptions::from_slice(&args).unwrap();
+            let options = parse_pipeline(&args).unwrap();
             assert_eq!(options.operand_width, expected, "raw `{raw}`");
-            assert_eq!(options.pipeline_config().operand_width, expected);
+            assert_eq!(options.operand_width, expected);
         }
         // The default is the paper's INT8.
         assert_eq!(ExperimentOptions::default().operand_width, OperandWidth::Int8);
@@ -426,26 +326,26 @@ mod tests {
         for raw in ["0", "2", "10", "32", "-8"] {
             let args: Vec<String> =
                 ["--operand-width", raw].iter().map(ToString::to_string).collect();
-            let err = ExperimentOptions::from_slice(&args).unwrap_err();
+            let err = parse_pipeline(&args).unwrap_err();
             assert_eq!(err.flag, "--operand-width");
             assert!(err.message.contains(raw), "{err}");
         }
         // Non-numeric garbage.
         let args: Vec<String> =
             ["--operand-width", "wide"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse_pipeline(&args).unwrap_err();
         assert_eq!(err.flag, "--operand-width");
         assert!(err.to_string().contains("wide"), "{err}");
         // Missing value.
         let args: Vec<String> = ["--operand-width"].iter().map(ToString::to_string).collect();
-        let err = ExperimentOptions::from_slice(&args).unwrap_err();
+        let err = parse_pipeline(&args).unwrap_err();
         assert_eq!(err.flag, "--operand-width");
         assert!(err.to_string().contains("missing"), "{err}");
         // The channel multiplier flag is unaffected: `--width` still parses
         // floats and never consumes operand widths.
         let args: Vec<String> =
             ["--width", "0.5", "--operand-width", "4"].iter().map(ToString::to_string).collect();
-        let options = ExperimentOptions::from_slice(&args).unwrap();
+        let options = parse_pipeline(&args).unwrap();
         assert!((options.width_mult - 0.5).abs() < 1e-6);
         assert_eq!(options.operand_width, OperandWidth::Int4);
     }
@@ -456,7 +356,7 @@ mod tests {
         // one (the old parser advanced one token at a time).
         let args: Vec<String> =
             ["--seed", "3", "--cal", "2"].iter().map(ToString::to_string).collect();
-        let options = ExperimentOptions::from_slice(&args).unwrap();
+        let options = parse_pipeline(&args).unwrap();
         assert_eq!(options.seed, 3);
         assert_eq!(options.calibration_images, 2);
     }

@@ -17,7 +17,8 @@
 //!   width) regardless of grid size) and resumes from a snapshot by
 //!   re-simulating only absent points.
 //! * Pareto-frontier extraction over latency / energy / area / fidelity
-//!   via [`DseReport::pareto_frontier`].
+//!   via [`DseReport::pareto_frontier`], and [`render_report`], the one
+//!   text table every binary prints a report as.
 //!
 //! Entry results are bit-identical to independent per-point
 //! [`Pipeline`](crate::Pipeline) runs — the workspace test
@@ -25,6 +26,7 @@
 //! the frontier against a brute-force reference.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -655,6 +657,113 @@ impl DseReport {
     }
 }
 
+/// Renders a [`DseReport`] as a deterministic text table: one row per
+/// (point, sparsity run) plus a Pareto-frontier section per model.
+///
+/// The output is a pure function of the results — no timestamps, wall
+/// times or cache counters — so two runs over the same grid (cold, or
+/// resumed from a half-deleted snapshot) render byte-identical reports.
+#[must_use]
+pub fn render_report(report: &DseReport) -> String {
+    let area = AreaModel::calibrated_28nm();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "DSE sweep - {} of {} grid points ({} models x {} widths x geometries)",
+        report.entries.len(),
+        report.total_points,
+        report.spec.unique_models().len(),
+        report.spec.effective_widths(OperandWidth::Int8).len(),
+    );
+    let _ = writeln!(
+        out,
+        "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10} {:>10} {:>8}",
+        "model",
+        "width",
+        "macros",
+        "comp",
+        "dbmus",
+        "rows",
+        "MHz",
+        "sparsity",
+        "cycles",
+        "lat (ms)",
+        "uJ",
+        "speedup"
+    );
+    for entry in &report.entries {
+        let has_baseline = entry.result.run(SparsityConfig::DenseBaseline).is_some();
+        for run in &entry.result.runs {
+            let speedup = if has_baseline {
+                format!("{:.2}x", entry.result.speedup(run.sparsity))
+            } else {
+                "n/a".to_string()
+            };
+            // An active pruning spec rides in the width cell (`int8/u0.50`);
+            // unpruned rows keep the historical rendering byte-for-byte.
+            let width_cell = if entry.pruning.is_active() {
+                format!("{}/{}", entry.width, entry.pruning.label())
+            } else {
+                entry.width.to_string()
+            };
+            let _ = writeln!(
+                out,
+                "{:<16} {:>6} {:>7} {:>5} {:>6} {:>5} {:>6} | {:<16} {:>12} {:>10.4} {:>10.3} {:>8}",
+                entry.kind.name(),
+                width_cell,
+                entry.arch.macros,
+                entry.arch.compartments_per_macro,
+                entry.arch.dbmus_per_compartment,
+                entry.arch.rows_per_dbmu,
+                entry.arch.frequency_mhz,
+                run.sparsity.to_string(),
+                run.total_cycles(),
+                run.latency_ms(),
+                run.total_energy_uj(),
+                speedup,
+            );
+        }
+    }
+    for kind in report.spec.unique_models() {
+        for sparsity in report.spec.unique_sparsity() {
+            let frontier = report.pareto_frontier(kind, sparsity);
+            if frontier.is_empty() {
+                continue;
+            }
+            let _ = writeln!(
+                out,
+                "pareto frontier [{} / {}] (latency, energy, area{}):",
+                kind.name(),
+                sparsity,
+                if report.spec.fidelity { ", fidelity" } else { "" },
+            );
+            for (index, metrics) in frontier {
+                let entry = &report.entries[index];
+                let pruning_tag = if entry.pruning.is_active() {
+                    format!(" [{}]", entry.pruning.label())
+                } else {
+                    String::new()
+                };
+                let _ = writeln!(
+                    out,
+                    "  {} @ {}{}: {} macros x {} rows @ {} MHz — {:.4} ms, {:.3} uJ, {:.4} mm2, loss {:.2}%",
+                    entry.kind.name(),
+                    entry.width,
+                    pruning_tag,
+                    entry.arch.macros,
+                    entry.arch.rows_per_dbmu,
+                    entry.arch.frequency_mhz,
+                    metrics.latency_ms,
+                    metrics.energy_uj,
+                    area.total_mm2(&entry.arch),
+                    100.0 * metrics.fidelity_loss,
+                );
+            }
+        }
+    }
+    out
+}
+
 /// One aggregated (width, pruning, geometry) candidate of a workload mix
 /// (see [`DseReport::aggregate_metrics`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -932,5 +1041,23 @@ mod tests {
         let b = unix_time_ms();
         assert!(b >= a);
         assert!(a > 1_600_000_000_000, "clock reads as a plausible current date");
+    }
+
+    #[test]
+    fn rendered_report_is_deterministic_for_identical_results() {
+        let config = PipelineConfig::fast().without_fidelity();
+        let driver = DseDriver::new(config).unwrap();
+        let spec = DseSpec::new(
+            ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4]),
+            vec![ModelKind::MobileNetV2],
+        )
+        .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]);
+        let first = driver.run(&spec).unwrap();
+        let second = driver.run(&spec).unwrap();
+        assert!(first.results_match(&second));
+        let rendered = render_report(&first);
+        assert_eq!(rendered, render_report(&second), "rendering leaked non-determinism");
+        assert!(rendered.contains("pareto frontier"));
+        assert!(rendered.contains("MobileNetV2"));
     }
 }

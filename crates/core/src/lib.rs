@@ -65,7 +65,9 @@ pub mod prelude;
 pub mod session;
 pub mod stats;
 
-pub use dse::{DseDriver, DseEntry, DsePoint, DsePointKey, DseReport, DseSpec, MixCandidate};
+pub use dse::{
+    render_report, DseDriver, DseEntry, DsePoint, DsePointKey, DseReport, DseSpec, MixCandidate,
+};
 pub use error::PipelineError;
 pub use pipeline::{CodesignResult, Pipeline, PipelineConfig};
 pub use session::{

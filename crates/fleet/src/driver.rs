@@ -3,9 +3,9 @@
 //! [`FleetDriver::run`] turns a [`DseSpec`] into one merged [`DseReport`]
 //! by fanning the spec's points out across N workers:
 //!
-//! 1. **Plan** — the canonical point list is partitioned into one shard per
-//!    worker by the configured [`ShardStrategy`] (a pure function, so every
-//!    resume derives the same plan).
+//! 1. **Plan** — the canonical point list is dealt round-robin into one
+//!    shard per worker ([`ShardPlan`], a pure function, so every resume
+//!    derives the same plan).
 //! 2. **Resume** — existing `shard-*.json` snapshots in the snapshot
 //!    directory are adopted point-by-point; a torn or unparsable file is
 //!    skipped with a diagnostic, a snapshot answering a *different spec* is
@@ -34,7 +34,7 @@ use db_pim::{
     BatchRunner, DsePoint, DsePointKey, DseReport, DseSpec, PipelineConfig, PipelineError,
 };
 
-use crate::shard::{ShardPlan, ShardStrategy};
+use crate::shard::ShardPlan;
 use crate::worker::{
     JobContext, LocalExecutor, PointExecutor, PointJob, RemoteExecutor, WorkerSpec,
 };
@@ -217,8 +217,6 @@ pub struct FleetConfig {
     pub pipeline: PipelineConfig,
     /// The worker roster; one shard is planned per worker.
     pub workers: Vec<WorkerSpec>,
-    /// How points are partitioned into shards.
-    pub strategy: ShardStrategy,
     /// Directory for per-shard snapshots (`shard-NNN.json`) and the merged
     /// report (`merged.json`); `None` disables persistence and resume.
     pub snapshot_dir: Option<PathBuf>,
@@ -237,12 +235,6 @@ pub struct FleetConfig {
     /// Consecutive failures before a worker must pass a heartbeat to keep
     /// claiming points.
     pub worker_failure_limit: usize,
-    /// New points per shard between snapshot saves (default 1: maximum
-    /// durability). Each save reserializes the shard's whole entry list, so
-    /// on grids approaching the 4096-point cap a larger interval trades a
-    /// little resume work for O(n²/k) instead of O(n²) snapshot I/O. The
-    /// final authoritative save always happens regardless.
-    pub save_every: usize,
 }
 
 impl FleetConfig {
@@ -254,22 +246,13 @@ impl FleetConfig {
         Self {
             pipeline,
             workers,
-            strategy: ShardStrategy::default(),
             snapshot_dir: None,
             fleet_id: format!("fleet-{}", unix_time_ms()),
             auth_token: None,
             point_timeout: Duration::from_secs(120),
             max_point_attempts: 3,
             worker_failure_limit: 2,
-            save_every: 1,
         }
-    }
-
-    /// Sets the shard strategy.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Enables snapshot persistence and resume under `dir`.
@@ -304,13 +287,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_max_point_attempts(mut self, attempts: usize) -> Self {
         self.max_point_attempts = attempts.max(1);
-        self
-    }
-
-    /// Overrides the per-shard snapshot interval (clamped to at least one).
-    #[must_use]
-    pub fn with_save_every(mut self, points: usize) -> Self {
-        self.save_every = points.max(1);
         self
     }
 }
@@ -418,7 +394,7 @@ impl FleetDriver {
             points = points.len(),
             workers = self.config.workers.len(),
         );
-        let plan = ShardPlan::partition(&points, self.config.workers.len(), self.config.strategy);
+        let plan = ShardPlan::partition(&points, self.config.workers.len());
         let owners = plan.owners();
         let key_to_index: HashMap<DsePointKey, usize> =
             points.iter().enumerate().map(|(i, p)| (p.canonical_key(), i)).collect();
@@ -449,7 +425,7 @@ impl FleetDriver {
 
         // Adopt whatever previous shard snapshots already computed. Entries
         // are re-homed into the *current* plan's shards, so resuming with a
-        // different worker count (or strategy) still reuses every point.
+        // different worker count still reuses every point.
         if let Some(dir) = &self.config.snapshot_dir {
             std::fs::create_dir_all(dir).map_err(|e| {
                 FleetError::Persist(PipelineError::BadConfig {
@@ -726,14 +702,12 @@ impl FleetDriver {
                     cv.notify_all();
                     self.emit(&FleetEvent::PointDone { worker, shard, stolen, completed, total });
                     if let Some((dir, entries)) = snapshot {
-                        // Serialize saves per shard and skip stale or
-                        // too-frequent ones: a concurrent completer may
-                        // already have persisted a superset of this clone
-                        // (shard entry lists only grow, so the count is a
-                        // valid version), and `save_every` bounds how often
-                        // the whole shard is reserialized.
+                        // Serialize saves per shard and skip stale ones: a
+                        // concurrent completer may already have persisted a
+                        // superset of this clone (shard entry lists only
+                        // grow, so the count is a valid version).
                         let mut saved = save_versions[owner].lock().expect("shard save lock");
-                        if entries.len() >= *saved + self.config.save_every {
+                        if entries.len() > *saved {
                             let report = shard_report(spec, total, &entries);
                             match report.save(shard_snapshot_path(&dir, owner)) {
                                 Ok(()) => *saved = entries.len(),
@@ -872,7 +846,6 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let config = FleetConfig::new(PipelineConfig::fast(), vec![WorkerSpec::Local]);
-        assert_eq!(config.strategy, ShardStrategy::RoundRobin);
         assert_eq!(config.max_point_attempts, 3);
         assert!(config.fleet_id.starts_with("fleet-"));
         assert_eq!(config.clone().with_max_point_attempts(0).max_point_attempts, 1);

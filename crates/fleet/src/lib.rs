@@ -11,11 +11,8 @@
 //!
 //! The moving parts:
 //!
-//! * [`ShardPlan`] / [`ShardStrategy`] — deterministic partitioning of the
-//!   spec's canonical point list ([`RoundRobin`](ShardStrategy::RoundRobin),
-//!   [`Contiguous`](ShardStrategy::Contiguous), or
-//!   [`CostWeighted`](ShardStrategy::CostWeighted) LPT balancing on a
-//!   grid-size cost heuristic).
+//! * [`ShardPlan`] — deterministic round-robin partitioning of the spec's
+//!   canonical point list, one shard per worker.
 //! * [`WorkerSpec`] — where points execute: in-process (every local worker
 //!   shares one warm [`BatchRunner`](db_pim::BatchRunner) cache) or against
 //!   a daemon endpoint via single-point, shard-tagged `Explore` streams
@@ -31,15 +28,10 @@
 //!   capped per shard, failure dominating), rendered by
 //!   `dbpim-fleet --status`.
 //!
-//! SparseP (Giannoula et al.) reports the same lesson for real PIM
-//! hardware: once the per-point kernel is fixed, the partitioning and
-//! load-balancing strategy dominates end-to-end sweep throughput — which
-//! is why the strategy is a first-class, swappable knob here.
-//!
 //! ```no_run
 //! use db_pim::{DseSpec, PipelineConfig};
 //! use dbpim_arch::ArchConfig;
-//! use dbpim_fleet::{FleetConfig, FleetDriver, ShardStrategy, WorkerSpec};
+//! use dbpim_fleet::{FleetConfig, FleetDriver, WorkerSpec};
 //! use dbpim_nn::ModelKind;
 //! use dbpim_sim::ArchGrid;
 //!
@@ -51,7 +43,6 @@
 //!     PipelineConfig::fast().without_fidelity(),
 //!     vec![WorkerSpec::Remote("127.0.0.1:7641".to_string()), WorkerSpec::Local],
 //! )
-//! .with_strategy(ShardStrategy::CostWeighted)
 //! .with_snapshot_dir("fleet-snapshots");
 //! let outcome = FleetDriver::new(config).run(&spec)?;
 //! assert!(outcome.report.is_complete());
@@ -73,6 +64,6 @@ pub use driver::{
 };
 pub use options::FleetOptions;
 pub use progress::{FleetProgress, ShardProgress};
-pub use shard::{point_cost, Shard, ShardPlan, ShardStrategy};
+pub use shard::{Shard, ShardPlan};
 pub use trace::{collect_remote_trace, remote_lane, RemoteTrace};
 pub use worker::WorkerSpec;

@@ -4,28 +4,25 @@
 //! --workers <n>           local in-process workers (default: 1 when no
 //!                         endpoints are given, else 0)
 //! --endpoints a:p,b:p     remote dbpim-served endpoints, one worker each
-//! --strategy <name>       round-robin | contiguous | cost-weighted
 //! --snapshot-dir <dir>    per-shard snapshots + merged report; enables resume
 //! --fleet-id <name>       identifier shard-tagged requests carry
 //! --auth-token <secret>   shared secret presented to every remote daemon
 //! --point-timeout-ms <n>  remote per-point deadline / liveness timeout
 //! --retries <n>           attempts per point before the run aborts
-//! --save-every <n>        new points per shard between snapshot saves
 //! ```
 //!
-//! Same conventions as every other parser in the workspace: unknown flags
-//! are ignored (the `dbpim-fleet` binary layers these on top of the
-//! `dse_sweep` grid/pipeline flags), a known flag with a missing or
-//! malformed value is an error.
+//! The `dbpim-fleet` binary layers these on top of `dse_sweep`'s pipeline
+//! and grid flags; both parsers read the same argument list through the
+//! workspace's one scanner ([`dbpim_serve::options::scan`]), each skipping
+//! the other's flags.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use db_pim::PipelineConfig;
-use dbpim_serve::options::{parse_value, OptionsError};
+use dbpim_serve::options::{scan, OptionsError};
 
 use crate::driver::FleetConfig;
-use crate::shard::ShardStrategy;
 use crate::worker::WorkerSpec;
 
 /// Parsed fleet flags.
@@ -36,8 +33,6 @@ pub struct FleetOptions {
     pub workers: Option<usize>,
     /// Remote daemon endpoints, one worker each.
     pub endpoints: Vec<String>,
-    /// Shard strategy.
-    pub strategy: ShardStrategy,
     /// Snapshot directory (enables persistence and resume).
     pub snapshot_dir: Option<PathBuf>,
     /// Fleet identifier override.
@@ -48,8 +43,6 @@ pub struct FleetOptions {
     pub point_timeout_ms: u64,
     /// Attempts per point before the run aborts.
     pub retries: usize,
-    /// New points per shard between snapshot saves.
-    pub save_every: usize,
 }
 
 impl Default for FleetOptions {
@@ -57,37 +50,21 @@ impl Default for FleetOptions {
         Self {
             workers: None,
             endpoints: Vec::new(),
-            strategy: ShardStrategy::default(),
             snapshot_dir: None,
             fleet_id: None,
             auth_token: None,
             point_timeout_ms: 120_000,
             retries: 3,
-            save_every: 1,
         }
     }
 }
 
 impl FleetOptions {
-    /// The flags this parser understands.
-    pub const FLAGS: [&'static str; 9] = [
-        "--workers",
-        "--endpoints",
-        "--strategy",
-        "--snapshot-dir",
-        "--fleet-id",
-        "--auth-token",
-        "--point-timeout-ms",
-        "--retries",
-        "--save-every",
-    ];
-
     /// One-line usage fragment (the binary prepends the grid/pipeline
     /// flags).
     pub const USAGE: &'static str = "[--workers <n>] [--endpoints host:port,...] \
-         [--strategy round-robin|contiguous|cost-weighted] [--snapshot-dir <dir>] \
-         [--fleet-id <name>] [--auth-token <secret>] [--point-timeout-ms <n>] [--retries <n>] \
-         [--save-every <n>]";
+         [--snapshot-dir <dir>] [--fleet-id <name>] [--auth-token <secret>] \
+         [--point-timeout-ms <n>] [--retries <n>]";
 
     /// Parses the fleet flags from an explicit argument list. Unknown
     /// arguments are ignored.
@@ -98,20 +75,11 @@ impl FleetOptions {
     /// malformed value.
     pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
         let mut options = Self::default();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: flag.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match flag {
-                "--workers" => options.workers = Some(parse_value(flag, raw)?),
+        scan(args, |flag| {
+            match flag.name() {
+                "--workers" => options.workers = Some(flag.value()?),
                 "--endpoints" => {
+                    let raw = flag.raw()?;
                     options.endpoints = raw
                         .split(',')
                         .map(str::trim)
@@ -120,24 +88,22 @@ impl FleetOptions {
                         .collect();
                     if options.endpoints.is_empty() {
                         return Err(OptionsError {
-                            flag: flag.to_string(),
+                            flag: flag.name().to_string(),
                             message: format!("`{raw}` names no endpoints"),
                         });
                     }
                 }
-                "--strategy" => options.strategy = parse_value(flag, raw)?,
-                "--snapshot-dir" => options.snapshot_dir = Some(PathBuf::from(raw)),
-                "--fleet-id" => options.fleet_id = Some(raw.clone()),
-                "--auth-token" => options.auth_token = Some(raw.clone()),
+                "--snapshot-dir" => options.snapshot_dir = Some(PathBuf::from(flag.raw()?)),
+                "--fleet-id" => options.fleet_id = Some(flag.raw()?.to_string()),
+                "--auth-token" => options.auth_token = Some(flag.raw()?.to_string()),
                 "--point-timeout-ms" => {
-                    options.point_timeout_ms = parse_value::<u64>(flag, raw)?.max(1);
+                    options.point_timeout_ms = flag.value::<u64>()?.max(1);
                 }
-                "--retries" => options.retries = parse_value::<usize>(flag, raw)?.max(1),
-                "--save-every" => options.save_every = parse_value::<usize>(flag, raw)?.max(1),
-                _ => unreachable!("flag list and match arms agree"),
+                "--retries" => options.retries = flag.value::<usize>()?.max(1),
+                _ => return Ok(false),
             }
-            i += 2;
-        }
+            Ok(true)
+        })?;
         Ok(options)
     }
 
@@ -158,10 +124,8 @@ impl FleetOptions {
     #[must_use]
     pub fn fleet_config(&self, pipeline: PipelineConfig) -> FleetConfig {
         let mut config = FleetConfig::new(pipeline, self.worker_specs())
-            .with_strategy(self.strategy)
             .with_point_timeout(Duration::from_millis(self.point_timeout_ms))
-            .with_max_point_attempts(self.retries)
-            .with_save_every(self.save_every);
+            .with_max_point_attempts(self.retries);
         if let Some(dir) = &self.snapshot_dir {
             config = config.with_snapshot_dir(dir);
         }
@@ -192,8 +156,6 @@ mod tests {
             "2",
             "--endpoints",
             "127.0.0.1:7641, 127.0.0.1:7642",
-            "--strategy",
-            "cost-weighted",
             "--snapshot-dir",
             "/tmp/fleet",
             "--fleet-id",
@@ -208,7 +170,6 @@ mod tests {
         .unwrap();
         assert_eq!(options.workers, Some(2));
         assert_eq!(options.endpoints, vec!["127.0.0.1:7641", "127.0.0.1:7642"]);
-        assert_eq!(options.strategy, ShardStrategy::CostWeighted);
         assert_eq!(options.snapshot_dir, Some(PathBuf::from("/tmp/fleet")));
         assert_eq!(options.fleet_id.as_deref(), Some("ci-run"));
         assert_eq!(options.auth_token.as_deref(), Some("sesame"));
@@ -255,10 +216,6 @@ mod tests {
         let err = FleetOptions::from_slice(&args(&["--workers", "two"])).unwrap_err();
         assert_eq!(err.flag, "--workers");
 
-        let err = FleetOptions::from_slice(&args(&["--strategy", "random"])).unwrap_err();
-        assert_eq!(err.flag, "--strategy");
-        assert!(err.message.contains("random"), "{err}");
-
         let err = FleetOptions::from_slice(&args(&["--endpoints", " , "])).unwrap_err();
         assert_eq!(err.flag, "--endpoints");
 
@@ -266,27 +223,11 @@ mod tests {
         assert_eq!(err.flag, "--retries");
         assert!(err.to_string().contains("missing"), "{err}");
 
-        // Zero-valued knobs that would hang or never run (or never save)
-        // are clamped.
-        let options = FleetOptions::from_slice(&args(&[
-            "--retries",
-            "0",
-            "--point-timeout-ms",
-            "0",
-            "--save-every",
-            "0",
-        ]))
-        .unwrap();
+        // Zero-valued knobs that would hang or never run are clamped.
+        let options =
+            FleetOptions::from_slice(&args(&["--retries", "0", "--point-timeout-ms", "0"]))
+                .unwrap();
         assert_eq!(options.retries, 1);
         assert_eq!(options.point_timeout_ms, 1);
-        assert_eq!(options.save_every, 1);
-    }
-
-    #[test]
-    fn save_every_reaches_the_config() {
-        let options = FleetOptions::from_slice(&args(&["--save-every", "8"])).unwrap();
-        assert_eq!(options.save_every, 8);
-        assert_eq!(options.fleet_config(PipelineConfig::fast()).save_every, 8);
-        assert_eq!(FleetOptions::default().save_every, 1, "maximum durability by default");
     }
 }

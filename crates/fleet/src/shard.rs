@@ -1,100 +1,18 @@
 //! Deterministic partitioning of a DSE point set into shards.
 //!
-//! A [`ShardPlan`] splits the canonical point list of a
+//! A [`ShardPlan`] deals the canonical point list of a
 //! [`DseSpec`](db_pim::DseSpec) — every (model, width, geometry) point, in
-//! the spec's enumeration order — into one [`Shard`] per worker. Planning
-//! is a pure function of the point list, the worker count and the
-//! [`ShardStrategy`], so every fleet participant (and every resume) derives
-//! the same plan without coordination.
+//! the spec's enumeration order — round-robin into one [`Shard`] per
+//! worker, so every shard sees a similar mix of geometries. Planning is a
+//! pure function of the point list and the worker count, so every fleet
+//! participant (and every resume) derives the same plan without
+//! coordination; work stealing evens out whatever imbalance remains.
 //!
 //! The partition invariant — every point in exactly one shard, no gaps, no
 //! duplicates — is what makes the merged fleet report provably equal to a
-//! single-driver run; `tests/fleet_sharding.rs` asserts it for every
-//! strategy.
-
-use std::fmt;
-use std::str::FromStr;
+//! single-driver run; `tests/fleet_sharding.rs` asserts it.
 
 use db_pim::DsePoint;
-use dbpim_sim::geometry_cost;
-
-/// How a [`ShardPlan`] distributes points across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardStrategy {
-    /// Point `i` goes to shard `i % shards`. Interleaves the grid, so every
-    /// shard sees a similar mix of geometries — the robust default when
-    /// point costs are unknown.
-    #[default]
-    RoundRobin,
-    /// Consecutive runs of points per shard (earlier shards take the
-    /// remainder). Maximizes per-shard artifact-cache locality — adjacent
-    /// points usually share a (model, width) — at the risk of imbalance
-    /// when cost grows along an axis.
-    Contiguous,
-    /// Longest-processing-time assignment using the per-point
-    /// [`point_cost`] heuristic: points are placed heaviest-first onto the
-    /// currently lightest shard. Best wall-clock balance for grids whose
-    /// geometries differ wildly in simulation cost.
-    CostWeighted,
-}
-
-impl ShardStrategy {
-    /// Every strategy, in documentation order.
-    #[must_use]
-    pub fn all() -> [ShardStrategy; 3] {
-        [ShardStrategy::RoundRobin, ShardStrategy::Contiguous, ShardStrategy::CostWeighted]
-    }
-
-    /// The canonical command-line name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardStrategy::RoundRobin => "round-robin",
-            ShardStrategy::Contiguous => "contiguous",
-            ShardStrategy::CostWeighted => "cost-weighted",
-        }
-    }
-}
-
-impl fmt::Display for ShardStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for ShardStrategy {
-    type Err = String;
-
-    fn from_str(raw: &str) -> Result<Self, Self::Err> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "round-robin" | "roundrobin" | "rr" => Ok(ShardStrategy::RoundRobin),
-            "contiguous" => Ok(ShardStrategy::Contiguous),
-            "cost-weighted" | "costweighted" | "cost" => Ok(ShardStrategy::CostWeighted),
-            other => Err(format!(
-                "unknown shard strategy `{other}` (expected round-robin, contiguous or \
-                 cost-weighted)"
-            )),
-        }
-    }
-}
-
-/// The relative execution cost of one DSE point: the geometry's simulated
-/// cell count ([`geometry_cost`]) scaled by the operand width's bit count
-/// (the digit-serial macro walks one dyadic block per weight bit pair, so
-/// wider operands simulate proportionally longer), discounted for value
-/// pruning — pruned filters compact into fewer weight tiles, but input
-/// streaming and SIMD work survive, so at most half the cost is pruned
-/// away even at an extreme fraction. An identity spec leaves the historical
-/// cost untouched exactly.
-#[must_use]
-pub fn point_cost(point: &DsePoint) -> u64 {
-    let base = geometry_cost(&point.arch).saturating_mul(u64::from(point.width.bits())).max(1);
-    if !point.pruning.is_active() {
-        return base;
-    }
-    let keep = 1.0 - 0.5 * point.pruning.fraction.clamp(0.0, 1.0);
-    ((base as f64 * keep) as u64).max(1)
-}
 
 /// One shard of a plan: the point indices (into the spec's canonical point
 /// list) a worker is initially responsible for.
@@ -109,8 +27,6 @@ pub struct Shard {
 /// A deterministic partition of a spec's point list into shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// The strategy that produced the plan.
-    pub strategy: ShardStrategy,
     /// Points the partitioned spec enumerates.
     pub total_points: usize,
     /// One shard per worker, id-ordered. Shards may be empty when there are
@@ -119,49 +35,16 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Partitions `points` into `shards` shards (clamped to at least one).
-    ///
-    /// The result is a pure function of the inputs: the same point list,
-    /// shard count and strategy always produce the same plan.
+    /// Deals `points` round-robin into `shards` shards (clamped to at
+    /// least one): point `i` goes to shard `i % shards`.
     #[must_use]
-    pub fn partition(points: &[DsePoint], shards: usize, strategy: ShardStrategy) -> Self {
+    pub fn partition(points: &[DsePoint], shards: usize) -> Self {
         let count = shards.max(1);
         let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); count];
-        match strategy {
-            ShardStrategy::RoundRobin => {
-                for index in 0..points.len() {
-                    assigned[index % count].push(index);
-                }
-            }
-            ShardStrategy::Contiguous => {
-                let base = points.len() / count;
-                let extra = points.len() % count;
-                let mut next = 0usize;
-                for (id, bucket) in assigned.iter_mut().enumerate() {
-                    let take = base + usize::from(id < extra);
-                    bucket.extend(next..next + take);
-                    next += take;
-                }
-            }
-            ShardStrategy::CostWeighted => {
-                // Longest-processing-time: heaviest point first, onto the
-                // lightest shard; ties break on the lower index / lower
-                // shard id, keeping the plan deterministic.
-                let mut order: Vec<usize> = (0..points.len()).collect();
-                order.sort_by_key(|&i| (std::cmp::Reverse(point_cost(&points[i])), i));
-                let mut loads = vec![0u64; count];
-                for index in order {
-                    let lightest = (0..count).min_by_key(|&id| (loads[id], id)).expect("count>=1");
-                    loads[lightest] = loads[lightest].saturating_add(point_cost(&points[index]));
-                    assigned[lightest].push(index);
-                }
-                for bucket in &mut assigned {
-                    bucket.sort_unstable();
-                }
-            }
+        for index in 0..points.len() {
+            assigned[index % count].push(index);
         }
         Self {
-            strategy,
             total_points: points.len(),
             shards: assigned
                 .into_iter()
@@ -184,7 +67,7 @@ impl ShardPlan {
     }
 
     /// `true` when the shards cover `0..total_points` with no duplicates
-    /// and no gaps — the invariant every strategy must uphold.
+    /// and no gaps.
     #[must_use]
     pub fn is_complete_partition(&self) -> bool {
         let mut seen = vec![false; self.total_points];
@@ -197,12 +80,6 @@ impl ShardPlan {
             }
         }
         seen.into_iter().all(|covered| covered)
-    }
-
-    /// Total heuristic cost per shard (for balance diagnostics).
-    #[must_use]
-    pub fn shard_costs(&self, points: &[DsePoint]) -> Vec<u64> {
-        self.shards.iter().map(|s| s.points.iter().map(|&i| point_cost(&points[i])).sum()).collect()
     }
 }
 
@@ -226,74 +103,28 @@ mod tests {
     }
 
     #[test]
-    fn strategies_parse_and_render_round_trip() {
-        for strategy in ShardStrategy::all() {
-            assert_eq!(strategy.name().parse::<ShardStrategy>().unwrap(), strategy);
-        }
-        assert_eq!("rr".parse::<ShardStrategy>().unwrap(), ShardStrategy::RoundRobin);
-        assert_eq!("COST".parse::<ShardStrategy>().unwrap(), ShardStrategy::CostWeighted);
-        let err = "random".parse::<ShardStrategy>().unwrap_err();
-        assert!(err.contains("random"), "{err}");
-        assert_eq!(ShardStrategy::default(), ShardStrategy::RoundRobin);
-    }
-
-    #[test]
     fn every_strategy_yields_a_complete_partition() {
         let points = sample_points();
-        for strategy in ShardStrategy::all() {
-            for shards in [1, 2, 3, 5, points.len(), points.len() + 3] {
-                let plan = ShardPlan::partition(&points, shards, strategy);
-                assert_eq!(plan.shards.len(), shards);
-                assert!(
-                    plan.is_complete_partition(),
-                    "{strategy} over {shards} shards leaves gaps or duplicates"
-                );
-                assert_eq!(
-                    plan,
-                    ShardPlan::partition(&points, shards, strategy),
-                    "not a pure function"
-                );
-            }
+        for shards in [1, 2, 3, 5, points.len(), points.len() + 3] {
+            let plan = ShardPlan::partition(&points, shards);
+            assert_eq!(plan.shards.len(), shards);
+            assert!(plan.is_complete_partition(), "{shards} shards leave gaps or duplicates");
+            assert_eq!(plan, ShardPlan::partition(&points, shards), "not a pure function");
         }
     }
 
     #[test]
-    fn round_robin_interleaves_and_contiguous_chunks() {
+    fn round_robin_interleaves_the_grid() {
         let points = sample_points();
-        let rr = ShardPlan::partition(&points, 3, ShardStrategy::RoundRobin);
+        let rr = ShardPlan::partition(&points, 3);
         assert_eq!(rr.shards[0].points[..3], [0, 3, 6]);
         assert_eq!(rr.shards[1].points[..3], [1, 4, 7]);
-        let contiguous = ShardPlan::partition(&points, 3, ShardStrategy::Contiguous);
-        assert_eq!(contiguous.shards[0].points, (0..4).collect::<Vec<_>>());
-        assert_eq!(contiguous.shards[2].points, (8..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cost_weighted_balances_heterogeneous_grids() {
-        let points = sample_points();
-        // The grid spans 2..8 macros, a 4x per-point cost spread.
-        let costs: Vec<u64> = points.iter().map(point_cost).collect();
-        let heaviest = *costs.iter().max().unwrap();
-        let plan = ShardPlan::partition(&points, 3, ShardStrategy::CostWeighted);
-        let loads = plan.shard_costs(&points);
-        let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-        assert!(
-            spread <= heaviest,
-            "LPT must keep the load spread within one heaviest point: {loads:?}"
-        );
-        // And it beats contiguous chunking on this deliberately skewed grid.
-        let naive = ShardPlan::partition(&points, 3, ShardStrategy::Contiguous);
-        let naive_loads = naive.shard_costs(&points);
-        assert!(
-            loads.iter().max().unwrap() <= naive_loads.iter().max().unwrap(),
-            "cost-weighted ({loads:?}) should not be worse than contiguous ({naive_loads:?})"
-        );
     }
 
     #[test]
     fn owners_invert_the_plan() {
         let points = sample_points();
-        let plan = ShardPlan::partition(&points, 4, ShardStrategy::RoundRobin);
+        let plan = ShardPlan::partition(&points, 4);
         let owners = plan.owners();
         assert_eq!(owners.len(), points.len());
         for shard in &plan.shards {
@@ -301,28 +132,5 @@ mod tests {
                 assert_eq!(owners[point], shard.id);
             }
         }
-    }
-
-    #[test]
-    fn point_cost_scales_with_width_and_geometry() {
-        let points = sample_points();
-        // Same model and width: the 8-macro point costs 4x the 2-macro one.
-        let cheap = points.iter().find(|p| p.arch.macros == 2).unwrap();
-        let dear = points.iter().find(|p| p.arch.macros == 8).unwrap();
-        assert_eq!(point_cost(dear), 4 * point_cost(cheap));
-    }
-
-    #[test]
-    fn point_cost_discounts_value_pruning() {
-        let dense = sample_points()[0];
-        let mut pruned = dense;
-        pruned.pruning = db_pim::PruningSpec::unstructured(0.5);
-        // Half the weights pruned discounts a quarter of the cost; the
-        // identity spec is exactly the historical cost.
-        assert_eq!(point_cost(&pruned), (point_cost(&dense) as f64 * 0.75) as u64);
-        assert!(point_cost(&pruned) < point_cost(&dense));
-        let mut identity = dense;
-        identity.pruning = db_pim::PruningSpec::none();
-        assert_eq!(point_cost(&identity), point_cost(&dense));
     }
 }

@@ -10,22 +10,10 @@
 //!       [--sparsity <name>]    restrict to one configuration
 //!       [--operand-width <w>]  override the daemon's default width
 //!       [--fidelity]           request the accuracy-fidelity evaluation
-//!   sweep [--models a,b,c]     sweep models (default: all five)
-//!       [--sparsity <name>]    restrict to one configuration
-//!       [--widths 4,8,...]     sweep several operand widths
-//!       [--pruning none,0.3]   value-level pruning axis (u/s<fraction>)
-//!       [--fidelity]           request fidelity where defined
-//!   explore                    stream a design-space exploration
-//!       [--macros 2,4,8]       macro-count axis (default: paper value)
-//!       [--compartments a,b]   compartments-per-macro axis
-//!       [--dbmus a,b]          DBMU-columns axis
-//!       [--rows 32,64]         rows-per-DBMU axis
-//!       [--freqs 250,500]      frequency axis in MHz
-//!       [--models a,b,c]       models (default: all five)
-//!       [--sparsity <name>]    restrict to one configuration
-//!       [--widths 4,8,...]     operand-width axis
-//!       [--pruning none,0.3]   value-level pruning axis (u/s<fraction>)
-//!       [--fidelity]           request fidelity where defined
+//!   sweep [grid flags]         sweep models x sparsity x widths x pruning
+//!                              (the grid's geometry axes do not apply)
+//!   explore [grid flags]       stream a design-space exploration and print
+//!                              the table `dse_sweep` prints for it
 //!   stats                      daemon counters, queue depths, rejection
 //!                              counts, per-request latency + cache stats
 //!       [--watch <secs>]       re-poll every <secs> seconds and print a
@@ -43,28 +31,28 @@
 //! `--auth-token`, harmless against an open one.
 //! ```
 //!
-//! Flag parsing is strict in the `ExperimentOptions` tradition: unknown
-//! `--flag value` pairs are ignored (so wrappers can pass extra arguments
-//! through), but a known flag with a missing or malformed value aborts with
-//! usage on stderr (exit status 2).
+//! The grid flags are `dse_sweep`'s (`dbpim_serve::options::GridOptions`):
+//! `--macros --compartments --dbmus --rows --freqs --feature-kb
+//! --weight-kb --meta-kb --models --widths --pruning --sparsity
+//! --fidelity`, every axis a comma-separated list. The pipeline the points
+//! run under is the daemon's, set by its own pipeline flags. Parsing goes
+//! through the workspace's one scanner (`dbpim_serve::options::scan`):
+//! unknown flags are skipped with their value, a known flag with a missing
+//! or malformed value aborts with usage on stderr (exit status 2).
 
 use std::time::Duration;
 
-use db_pim::{DseSpec, PruningSpec, SweepReport, SweepSpec};
-use dbpim_arch::ArchConfig;
+use db_pim::{render_report, SweepReport, SweepSpec};
 use dbpim_csd::OperandWidth;
 use dbpim_nn::ModelKind;
-use dbpim_serve::options::{parse_list, parse_value, OptionsError};
+use dbpim_serve::options::{or_exit, scan, GridOptions, OptionsError, GRID_USAGE};
 use dbpim_serve::{Client, RunQuery};
-use dbpim_sim::{ArchGrid, SparsityConfig};
+use dbpim_sim::SparsityConfig;
 
 const USAGE: &str = "usage: dbpim-cli [--addr <ip>] [--port <u16>] [--auth-token <secret>] \
      <ping|models|run|sweep|explore|stats|metrics|shard-status|shutdown> [--model <name>] \
-     [--models a,b,c] [--sparsity <name>] [--operand-width <4|8|12|16>] [--widths 4,8,...] \
-     [--pruning none,0.3,s0.5,...] \
-     [--macros a,b] [--compartments a,b] [--dbmus a,b] [--rows a,b] [--freqs a,b] \
-     [--deadline-ms <n>] [--fidelity] [--watch <secs>] [--trace-out <path>] \
-     [--log-level <error|warn|info|debug>]";
+     [--operand-width <4|8|12|16>] [grid flags] [--deadline-ms <n>] [--watch <secs>] \
+     [--trace-out <path>] [--log-level <error|warn|info|debug>]";
 
 #[derive(Debug, Clone, PartialEq)]
 enum Command {
@@ -79,143 +67,83 @@ enum Command {
     Shutdown,
 }
 
+impl Command {
+    fn parse(word: &str) -> Option<Self> {
+        Some(match word {
+            "ping" => Command::Ping,
+            "models" => Command::Models,
+            "run" => Command::Run,
+            "sweep" => Command::Sweep,
+            "explore" => Command::Explore,
+            "stats" => Command::Stats,
+            "metrics" => Command::Metrics,
+            "shard-status" => Command::ShardStatus,
+            "shutdown" => Command::Shutdown,
+            _ => return None,
+        })
+    }
+}
+
 #[derive(Debug, Clone)]
 struct CliOptions {
     addr: String,
     port: u16,
     command: Command,
     model: Option<ModelKind>,
-    models: Option<Vec<ModelKind>>,
-    sparsity: Option<SparsityConfig>,
+    /// `run`'s operand-width override.
     width: Option<OperandWidth>,
-    widths: Option<Vec<OperandWidth>>,
-    pruning: Option<Vec<PruningSpec>>,
-    macros: Option<Vec<usize>>,
-    compartments: Option<Vec<usize>>,
-    dbmus: Option<Vec<usize>>,
-    rows: Option<Vec<usize>>,
-    freqs: Option<Vec<f64>>,
+    grid: GridOptions,
     deadline_ms: Option<u64>,
     auth_token: Option<String>,
-    fidelity: bool,
     watch: Option<u64>,
 }
 
 impl CliOptions {
-    const VALUE_FLAGS: [&'static str; 16] = [
-        "--addr",
-        "--port",
-        "--model",
-        "--models",
-        "--sparsity",
-        "--operand-width",
-        "--widths",
-        "--pruning",
-        "--macros",
-        "--compartments",
-        "--dbmus",
-        "--rows",
-        "--freqs",
-        "--deadline-ms",
-        "--auth-token",
-        "--watch",
-    ];
-
     fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
-        let mut options = Self {
-            addr: "127.0.0.1".to_string(),
-            port: 7531,
-            command: Command::Ping,
-            model: None,
-            models: None,
-            sparsity: None,
-            width: None,
-            widths: None,
-            pruning: None,
-            macros: None,
-            compartments: None,
-            dbmus: None,
-            rows: None,
-            freqs: None,
-            deadline_ms: None,
-            auth_token: None,
-            fidelity: false,
-            watch: None,
-        };
-        let mut command = None;
-        let mut i = 0;
-        while i < args.len() {
-            let arg = args[i].as_str();
-            if arg == "--fidelity" {
-                options.fidelity = true;
-                i += 1;
-                continue;
-            }
-            if !Self::VALUE_FLAGS.contains(&arg) {
-                if arg.starts_with("--") {
-                    // Unknown flag: skip it together with its value (when
-                    // one follows), so the value cannot be mistaken for the
-                    // command.
-                    let has_value = args.get(i + 1).is_some_and(|next| !next.starts_with("--"));
-                    i += if has_value { 2 } else { 1 };
-                    continue;
-                }
-                if command.is_none() {
-                    command = match arg {
-                        "ping" => Some(Command::Ping),
-                        "models" => Some(Command::Models),
-                        "run" => Some(Command::Run),
-                        "sweep" => Some(Command::Sweep),
-                        "explore" => Some(Command::Explore),
-                        "stats" => Some(Command::Stats),
-                        "metrics" => Some(Command::Metrics),
-                        "shard-status" => Some(Command::ShardStatus),
-                        "shutdown" => Some(Command::Shutdown),
-                        _ => None,
-                    };
-                }
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: arg.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match arg {
-                "--addr" => options.addr = raw.clone(),
-                "--port" => options.port = parse_value(arg, raw)?,
-                "--model" => options.model = Some(parse_value(arg, raw)?),
-                "--models" => options.models = Some(parse_list(arg, raw)?),
-                "--sparsity" => options.sparsity = Some(parse_value(arg, raw)?),
-                "--operand-width" => options.width = Some(parse_value(arg, raw)?),
-                "--widths" => options.widths = Some(parse_list(arg, raw)?),
-                "--pruning" => options.pruning = Some(parse_list(arg, raw)?),
-                "--macros" => options.macros = Some(parse_list(arg, raw)?),
-                "--compartments" => options.compartments = Some(parse_list(arg, raw)?),
-                "--dbmus" => options.dbmus = Some(parse_list(arg, raw)?),
-                "--rows" => options.rows = Some(parse_list(arg, raw)?),
-                "--freqs" => options.freqs = Some(parse_list(arg, raw)?),
-                "--deadline-ms" => options.deadline_ms = Some(parse_value(arg, raw)?),
-                "--auth-token" => options.auth_token = Some(raw.clone()),
+        let mut addr = "127.0.0.1".to_string();
+        let mut port = 7531;
+        let mut model = None;
+        let mut width = None;
+        let mut grid = GridOptions::default();
+        let mut deadline_ms = None;
+        let mut auth_token = None;
+        let mut watch = None;
+        let positional = scan(args, |flag| {
+            match flag.name() {
+                "--addr" => addr = flag.raw()?.to_string(),
+                "--port" => port = flag.value()?,
+                "--model" => model = Some(flag.value()?),
+                "--operand-width" => width = Some(flag.value()?),
+                "--deadline-ms" => deadline_ms = Some(flag.value()?),
+                "--auth-token" => auth_token = Some(flag.raw()?.to_string()),
                 // Zero would busy-poll the daemon; clamp like `--threads 0`.
-                "--watch" => options.watch = Some(parse_value::<u64>(arg, raw)?.max(1)),
-                _ => unreachable!("flag list and match arms agree"),
+                "--watch" => watch = Some(flag.value::<u64>()?.max(1)),
+                _ => return grid.flag(flag),
             }
-            i += 2;
-        }
-        options.command = command.ok_or_else(|| OptionsError {
-            flag: "<command>".to_string(),
-            message: "expected one of: ping, models, run, sweep, explore, stats, metrics, \
-                      shard-status, shutdown"
-                .to_string(),
+            Ok(true)
         })?;
-        if options.command == Command::Run && options.model.is_none() {
-            return Err(OptionsError {
-                flag: "--model".to_string(),
-                message: "required for `run`".to_string(),
-            });
+        let command =
+            positional.into_iter().find_map(Command::parse).ok_or_else(|| OptionsError {
+                flag: "<command>".to_string(),
+                message: "expected one of: ping, models, run, sweep, explore, stats, metrics, \
+                          shard-status, shutdown"
+                    .to_string(),
+            })?;
+        if command == Command::Run {
+            if model.is_none() {
+                return Err(OptionsError {
+                    flag: "--model".to_string(),
+                    message: "required for `run`".to_string(),
+                });
+            }
+            if grid.sparsity.len() > 1 {
+                return Err(OptionsError {
+                    flag: "--sparsity".to_string(),
+                    message: "`run` takes a single configuration".to_string(),
+                });
+            }
         }
-        Ok(options)
+        Ok(Self { addr, port, command, model, width, grid, deadline_ms, auth_token, watch })
     }
 }
 
@@ -263,68 +191,6 @@ fn print_report(report: &SweepReport) {
         report.simulated_runs,
         report.wall_time,
     );
-}
-
-fn print_explore(report: &db_pim::DseReport) {
-    println!("| model | width | macros | comp | dbmus | rows | MHz | hybrid cycles | speedup |");
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for entry in &report.entries {
-        let hybrid = entry.result.run(SparsityConfig::HybridSparsity);
-        let has_baseline = entry.result.run(SparsityConfig::DenseBaseline).is_some();
-        let cycles = hybrid.map_or("n/a".to_string(), |run| run.total_cycles().to_string());
-        let speedup = if hybrid.is_some() && has_baseline {
-            format!("{:.2}x", entry.result.speedup(SparsityConfig::HybridSparsity))
-        } else {
-            "n/a".to_string()
-        };
-        let width_cell = if entry.pruning.is_active() {
-            format!("{}/{}", entry.width, entry.pruning.label())
-        } else {
-            entry.width.to_string()
-        };
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            entry.kind.name(),
-            width_cell,
-            entry.arch.macros,
-            entry.arch.compartments_per_macro,
-            entry.arch.dbmus_per_compartment,
-            entry.arch.rows_per_dbmu,
-            entry.arch.frequency_mhz,
-            cycles,
-            speedup,
-        );
-    }
-    println!(
-        "({} of {} grid points, server wall time {:?})",
-        report.entries.len(),
-        report.total_points,
-        report.wall_time,
-    );
-    for &kind in &report.spec.unique_models() {
-        for sparsity in report.spec.unique_sparsity() {
-            let frontier = report.pareto_frontier(kind, sparsity);
-            if frontier.is_empty() {
-                continue;
-            }
-            let labels: Vec<String> = frontier
-                .iter()
-                .map(|(i, m)| {
-                    let e = &report.entries[*i];
-                    format!(
-                        "{}m/{}r@{} ({:.3} ms, {:.2} uJ, {:.3} mm2)",
-                        e.arch.macros,
-                        e.arch.rows_per_dbmu,
-                        e.arch.frequency_mhz,
-                        m.latency_ms,
-                        m.energy_uj,
-                        m.area_mm2
-                    )
-                })
-                .collect();
-            println!("pareto[{} / {}]: {}", kind.name(), sparsity, labels.join(", "));
-        }
-    }
 }
 
 fn print_stats(stats: &dbpim_serve::ServerStats) {
@@ -409,14 +275,7 @@ fn watch_stats(client: &mut Client, interval_secs: u64) -> Result<(), dbpim_serv
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match CliOptions::from_slice(&args) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let options = or_exit(CliOptions::from_slice(&args), &[USAGE, GRID_USAGE]);
 
     // Observability plumbing rides beside the strict parser: `--trace-out`
     // dumps a Chrome trace of the client-side spans, `--log-level` tunes
@@ -465,9 +324,9 @@ fn main() {
         }),
         Command::Run => {
             let mut query = RunQuery::new(options.model.expect("validated by the parser"));
-            query.sparsity = options.sparsity;
+            query.sparsity = options.grid.sparsity.first().copied();
             query.width = options.width;
-            query.fidelity = options.fidelity;
+            query.fidelity = options.grid.fidelity;
             query.deadline_ms = options.deadline_ms;
             client.run_model(&query).map(|entry| {
                 if let Some(fidelity) = &entry.result.fidelity {
@@ -483,61 +342,25 @@ fn main() {
             })
         }
         Command::Sweep => {
-            let models = options.models.unwrap_or_else(|| ModelKind::all().to_vec());
-            let mut spec = SweepSpec::new(models);
-            if let Some(sparsity) = options.sparsity {
-                spec = spec.with_sparsity(vec![sparsity]);
-            }
-            if let Some(widths) = options.widths {
-                spec = spec.with_widths(widths);
-            }
-            if let Some(pruning) = options.pruning {
-                spec = spec.with_pruning(pruning);
+            let grid = &options.grid;
+            let mut spec = SweepSpec::new(grid.models_or_all())
+                .with_widths(grid.widths.clone())
+                .with_pruning(grid.pruning.clone());
+            if !grid.sparsity.is_empty() {
+                spec = spec.with_sparsity(grid.sparsity.clone());
             }
             client
-                .sweep_streaming_with(
-                    &spec,
-                    options.fidelity,
-                    options.deadline_ms,
-                    |index, entry| {
-                        eprintln!("… entry {index}: {} @ {} done", entry.kind.name(), entry.width);
-                    },
-                )
+                .sweep_streaming_with(&spec, grid.fidelity, options.deadline_ms, |index, entry| {
+                    eprintln!("… entry {index}: {} @ {} done", entry.kind.name(), entry.width);
+                })
                 .map(|report| print_report(&report))
         }
-        Command::Explore => {
-            let mut grid = ArchGrid::around(ArchConfig::paper());
-            if let Some(macros) = options.macros {
-                grid = grid.with_macros(macros);
-            }
-            if let Some(compartments) = options.compartments {
-                grid = grid.with_compartments(compartments);
-            }
-            if let Some(dbmus) = options.dbmus {
-                grid = grid.with_dbmus(dbmus);
-            }
-            if let Some(rows) = options.rows {
-                grid = grid.with_rows(rows);
-            }
-            if let Some(freqs) = options.freqs {
-                grid = grid.with_frequencies(freqs);
-            }
-            let models = options.models.unwrap_or_else(|| ModelKind::all().to_vec());
-            let mut spec = DseSpec::new(grid, models);
-            if let Some(sparsity) = options.sparsity {
-                spec = spec.with_sparsity(vec![sparsity]);
-            }
-            if let Some(widths) = options.widths {
-                spec = spec.with_widths(widths);
-            }
-            if let Some(pruning) = options.pruning {
-                spec = spec.with_pruning(pruning);
-            }
-            if options.fidelity {
-                spec = spec.with_fidelity();
-            }
-            client
-                .explore_streaming_with(&spec, options.deadline_ms, None, |index, entry| {
+        Command::Explore => client
+            .explore_streaming_with(
+                &options.grid.spec(),
+                options.deadline_ms,
+                None,
+                |index, entry| {
                     eprintln!(
                         "… point {index}: {} @ {} on {} macros x {} rows @ {} MHz done",
                         entry.kind.name(),
@@ -546,9 +369,17 @@ fn main() {
                         entry.arch.rows_per_dbmu,
                         entry.arch.frequency_mhz,
                     );
-                })
-                .map(|report| print_explore(&report))
-        }
+                },
+            )
+            .map(|report| {
+                print!("{}", render_report(&report));
+                eprintln!(
+                    "dbpim-cli: {} of {} grid points, server wall time {:.2?}",
+                    report.entries.len(),
+                    report.total_points,
+                    report.wall_time,
+                );
+            }),
         Command::Stats => match options.watch {
             Some(secs) => watch_stats(&mut client, secs),
             None => client.stats().map(|stats| print_stats(&stats)),
@@ -618,9 +449,9 @@ mod tests {
         .unwrap();
         assert_eq!(options.command, Command::Run);
         assert_eq!(options.model, Some(ModelKind::ResNet18));
-        assert_eq!(options.sparsity, Some(SparsityConfig::HybridSparsity));
+        assert_eq!(options.grid.sparsity, vec![SparsityConfig::HybridSparsity]);
         assert_eq!(options.width, Some(OperandWidth::Int4));
-        assert!(options.fidelity);
+        assert!(options.grid.fidelity);
         assert_eq!(options.port, 9000);
 
         let options = CliOptions::from_slice(&args(&[
@@ -632,8 +463,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.command, Command::Sweep);
-        assert_eq!(options.models, Some(vec![ModelKind::AlexNet, ModelKind::Vgg19]));
-        assert_eq!(options.widths, Some(vec![OperandWidth::Int4, OperandWidth::Int16]));
+        assert_eq!(options.grid.models, vec![ModelKind::AlexNet, ModelKind::Vgg19]);
+        assert_eq!(options.grid.widths, vec![OperandWidth::Int4, OperandWidth::Int16]);
     }
 
     #[test]
@@ -653,11 +484,11 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.command, Command::Explore);
-        assert_eq!(options.macros, Some(vec![2, 4, 8]));
-        assert_eq!(options.rows, Some(vec![32, 64]));
-        assert_eq!(options.freqs, Some(vec![250.0, 500.0]));
-        assert_eq!(options.models, Some(vec![ModelKind::AlexNet]));
-        assert_eq!(options.sparsity, Some(SparsityConfig::HybridSparsity));
+        assert_eq!(options.grid.macros, vec![2, 4, 8]);
+        assert_eq!(options.grid.rows, vec![32, 64]);
+        assert_eq!(options.grid.freqs, vec![250.0, 500.0]);
+        assert_eq!(options.grid.models, vec![ModelKind::AlexNet]);
+        assert_eq!(options.grid.sparsity, vec![SparsityConfig::HybridSparsity]);
 
         let err = CliOptions::from_slice(&args(&["explore", "--macros", "2,x"])).unwrap_err();
         assert_eq!(err.flag, "--macros");

@@ -1,23 +1,35 @@
-//! Strict command-line parsing for the serving binaries.
+//! The one command-line parser of the workspace.
 //!
-//! Same conventions as the experiment binaries' `ExperimentOptions`
-//! (`dbpim-bench`): unknown flags are ignored so wrappers can pass extra
-//! arguments through, but a known flag with a missing or malformed value is
-//! an error — silently falling back to a default would start the daemon
-//! with a different model zoo than the operator asked for.
+//! Every binary walks its argument list with [`scan`]: unknown flags are
+//! skipped (so wrappers can pass extra arguments through, and one argument
+//! list can feed several parsers), but a known flag with a missing or
+//! malformed value is an error — silently falling back to a default would
+//! mislabel every number a report prints. Duplicate flags: the last one
+//! wins.
+//!
+//! Two flag blocks are shared by every binary that takes them, so one
+//! command line always means one pipeline and one grid:
+//!
+//! * [`pipeline_flag`] — `--width --seed --images --cal --classes
+//!   --operand-width`, on top of [`PipelineConfig::paper()`];
+//! * [`GridOptions`] — the design-space axes and the model, width,
+//!   pruning, sparsity and fidelity selections that build a [`DseSpec`].
 
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
 
-use db_pim::PipelineConfig;
+use db_pim::{DseSpec, PipelineConfig, PruningSpec};
+use dbpim_arch::ArchConfig;
 use dbpim_csd::OperandWidth;
+use dbpim_nn::ModelKind;
+use dbpim_sim::{ArchGrid, SparsityConfig};
 use dbpim_trace::LogLevel;
 
 use crate::server::ServeConfig;
 
-/// A malformed serving command line.
+/// A malformed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptionsError {
     /// The flag at fault (e.g. `--port`).
@@ -34,13 +46,8 @@ impl fmt::Display for OptionsError {
 
 impl std::error::Error for OptionsError {}
 
-/// Parses one flag value, attributing failures to the flag (shared by every
-/// command-line parser in the workspace).
-///
-/// # Errors
-///
-/// Returns [`OptionsError`] naming `flag` when `raw` does not parse as `T`.
-pub fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, OptionsError>
+/// Parses one flag value, attributing failures to the flag.
+fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, OptionsError>
 where
     T::Err: fmt::Display,
 {
@@ -50,18 +57,280 @@ where
     })
 }
 
-/// Parses a comma-separated list of flag values, skipping empty elements
-/// and attributing the failing element to the flag.
+/// One `--flag` met by [`scan`], with on-demand access to its value.
+#[derive(Debug)]
+pub struct Flag<'a> {
+    name: &'a str,
+    next: Option<&'a str>,
+    took_value: bool,
+}
+
+impl<'a> Flag<'a> {
+    /// The flag as written (e.g. `--port`).
+    #[must_use]
+    pub fn name(&self) -> &'a str {
+        self.name
+    }
+
+    /// Consumes the argument after the flag, whatever it looks like.
+    ///
+    /// # Errors
+    ///
+    /// Returns a "missing value" [`OptionsError`] when the flag is last.
+    pub fn raw(&mut self) -> Result<&'a str, OptionsError> {
+        self.took_value = true;
+        self.next.ok_or_else(|| OptionsError {
+            flag: self.name.to_string(),
+            message: "missing value".to_string(),
+        })
+    }
+
+    /// Consumes and parses the flag's value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptionsError`] for a missing or malformed value.
+    pub fn value<T: FromStr>(&mut self) -> Result<T, OptionsError>
+    where
+        T::Err: fmt::Display,
+    {
+        parse_value(self.name, self.raw()?)
+    }
+
+    /// Consumes and parses the flag's comma-separated value list, skipping
+    /// empty elements.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptionsError`] for a missing value or naming the first
+    /// malformed element.
+    pub fn list<T: FromStr>(&mut self) -> Result<Vec<T>, OptionsError>
+    where
+        T::Err: fmt::Display,
+    {
+        let raw = self.raw()?;
+        raw.split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(|s| parse_value(self.name, s))
+            .collect()
+    }
+}
+
+/// Walks `args` once, handing every `--flag` to `handle`, and returns the
+/// positional arguments in order.
+///
+/// `handle` answers whether it knows the flag; a known flag takes a value
+/// by calling [`Flag::raw`], [`Flag::value`] or [`Flag::list`], and a
+/// known switch takes none. An unknown flag is skipped together with the
+/// argument after it unless that argument is itself a flag, so an unknown
+/// flag's value is never mistaken for a positional argument.
 ///
 /// # Errors
 ///
-/// Returns [`OptionsError`] naming `flag` and the first element that does
-/// not parse as `T`.
-pub fn parse_list<T: FromStr>(flag: &str, raw: &str) -> Result<Vec<T>, OptionsError>
-where
-    T::Err: fmt::Display,
-{
-    raw.split(',').map(str::trim).filter(|s| !s.is_empty()).map(|s| parse_value(flag, s)).collect()
+/// Propagates the first error `handle` returns.
+pub fn scan<'a>(
+    args: &'a [String],
+    mut handle: impl FnMut(&mut Flag<'a>) -> Result<bool, OptionsError>,
+) -> Result<Vec<&'a str>, OptionsError> {
+    let mut positional = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        let next = args.get(i + 1).map(String::as_str);
+        i += 1;
+        if !arg.starts_with("--") {
+            positional.push(arg);
+            continue;
+        }
+        let mut flag = Flag { name: arg, next, took_value: false };
+        let known = handle(&mut flag)?;
+        if flag.took_value || (!known && next.is_some_and(|value| !value.starts_with("--"))) {
+            i += 1;
+        }
+    }
+    Ok(positional)
+}
+
+/// Unwraps a parsed command line, or prints the error and `usage` (one
+/// line each) to stderr and exits with status 2.
+pub fn or_exit<T>(parsed: Result<T, OptionsError>, usage: &[&str]) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        for line in usage {
+            eprintln!("{line}");
+        }
+        std::process::exit(2)
+    })
+}
+
+/// Usage of the [`pipeline_flag`] block.
+pub const PIPELINE_USAGE: &str = "pipeline flags: [--width <f32>] [--seed <u64>] [--images <n>] \
+     [--cal <n>] [--classes <n>] [--operand-width <4|8|12|16>]";
+
+/// The pipeline flags, applied to `pipeline`; returns whether `flag` is one
+/// of them.
+///
+/// ```text
+/// --width <f32>     channel width multiplier (default 1.0 = the paper's models)
+/// --seed <u64>      synthetic-weight seed (default 42)
+/// --images <usize>  evaluation images for fidelity (default 16; 0 skips it)
+/// --cal <usize>     calibration images (default 4; 0 is clamped to 1)
+/// --classes <usize> output classes (default 100)
+/// --operand-width <4|8|12|16>  weight operand width (default 8 = the paper)
+/// ```
+///
+/// The defaults are [`PipelineConfig::paper()`]'s, so a binary that starts
+/// from it and applies this block agrees with every other binary on what a
+/// command line means.
+///
+/// # Errors
+///
+/// Returns [`OptionsError`] for a missing or malformed value;
+/// `--operand-width` rejects anything but the supported widths.
+pub fn pipeline_flag(
+    pipeline: &mut PipelineConfig,
+    flag: &mut Flag<'_>,
+) -> Result<bool, OptionsError> {
+    match flag.name() {
+        "--width" => pipeline.width_mult = flag.value()?,
+        "--seed" => pipeline.seed = flag.value()?,
+        "--images" => pipeline.evaluation_images = flag.value()?,
+        "--cal" => pipeline.calibration_images = flag.value::<usize>()?.max(1),
+        "--classes" => pipeline.classes = flag.value()?,
+        "--operand-width" => pipeline.operand_width = flag.value()?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Parses the pipeline flags alone, ignoring every other argument.
+///
+/// # Errors
+///
+/// Returns [`OptionsError`] for a malformed pipeline flag.
+pub fn parse_pipeline(args: &[String]) -> Result<PipelineConfig, OptionsError> {
+    let mut pipeline = PipelineConfig::paper();
+    scan(args, |flag| pipeline_flag(&mut pipeline, flag))?;
+    Ok(pipeline)
+}
+
+/// Usage of the [`GridOptions`] block.
+pub const GRID_USAGE: &str = "grid flags: [--macros a,b] [--compartments a,b] [--dbmus a,b] \
+     [--rows a,b] [--freqs a,b] [--feature-kb a,b] [--weight-kb a,b] [--meta-kb a,b] \
+     [--models a,b] [--widths 4,8,...] [--pruning none,0.3,s0.5,...] \
+     [--sparsity base,hybrid,...] [--fidelity]";
+
+/// The grid flags: what a design-space exploration covers.
+///
+/// ```text
+/// --macros a,b        macro-count axis          --models a,b     models (default: all five)
+/// --compartments a,b  compartments axis         --widths 4,8     operand-width axis
+/// --dbmus a,b         DBMU-columns axis         --pruning 0.3,s0.5  value-pruning axis
+/// --rows a,b          rows-per-DBMU axis        --sparsity a,b   sparsity subset
+/// --freqs a,b         frequency axis (MHz)      --fidelity       evaluate fidelity
+/// --feature-kb a,b    feature-buffer axis (KB)
+/// --weight-kb a,b     weight-buffer axis (KB)
+/// --meta-kb a,b       meta-buffer axis (KB)
+/// ```
+///
+/// An empty axis keeps the paper value ([`ArchGrid::around`]); an empty
+/// width or pruning axis keeps the pipeline's. Pruning specs are `0.3` or
+/// `u0.3` for an unstructured fraction, `s0.5` for structured per-channel
+/// removal, `none` for the identity.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GridOptions {
+    /// Macro-count axis.
+    pub macros: Vec<usize>,
+    /// Compartments-per-macro axis.
+    pub compartments: Vec<usize>,
+    /// DBMU-columns axis.
+    pub dbmus: Vec<usize>,
+    /// Rows-per-DBMU axis.
+    pub rows: Vec<usize>,
+    /// Frequency axis in MHz.
+    pub freqs: Vec<f64>,
+    /// Feature-buffer axis in KB.
+    pub feature_kb: Vec<usize>,
+    /// Weight-buffer axis in KB.
+    pub weight_kb: Vec<usize>,
+    /// Meta-buffer axis in KB.
+    pub meta_kb: Vec<usize>,
+    /// Models to explore (empty = all five paper models).
+    pub models: Vec<ModelKind>,
+    /// Operand-width axis.
+    pub widths: Vec<OperandWidth>,
+    /// Value-level pruning axis.
+    pub pruning: Vec<PruningSpec>,
+    /// Sparsity configurations (empty = all four).
+    pub sparsity: Vec<SparsityConfig>,
+    /// Evaluate fidelity where defined.
+    pub fidelity: bool,
+}
+
+impl GridOptions {
+    /// Applies one grid flag; returns whether `flag` is one of them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OptionsError`] for a missing value or a malformed element.
+    pub fn flag(&mut self, flag: &mut Flag<'_>) -> Result<bool, OptionsError> {
+        match flag.name() {
+            "--macros" => self.macros = flag.list()?,
+            "--compartments" => self.compartments = flag.list()?,
+            "--dbmus" => self.dbmus = flag.list()?,
+            "--rows" => self.rows = flag.list()?,
+            "--freqs" => self.freqs = flag.list()?,
+            "--feature-kb" => self.feature_kb = flag.list()?,
+            "--weight-kb" => self.weight_kb = flag.list()?,
+            "--meta-kb" => self.meta_kb = flag.list()?,
+            "--models" => self.models = flag.list()?,
+            "--widths" => self.widths = flag.list()?,
+            "--pruning" => self.pruning = flag.list()?,
+            "--sparsity" => self.sparsity = flag.list()?,
+            "--fidelity" => self.fidelity = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The models to run: the selection, or all five paper models.
+    #[must_use]
+    pub fn models_or_all(&self) -> Vec<ModelKind> {
+        if self.models.is_empty() {
+            ModelKind::all().to_vec()
+        } else {
+            self.models.clone()
+        }
+    }
+
+    /// The exploration spec these flags describe. Buffer axes given in KB
+    /// are converted to bytes here.
+    #[must_use]
+    pub fn spec(&self) -> DseSpec {
+        let kb = |values: &[usize]| values.iter().map(|v| v * 1024).collect::<Vec<_>>();
+        let grid = ArchGrid {
+            macros: self.macros.clone(),
+            compartments_per_macro: self.compartments.clone(),
+            dbmus_per_compartment: self.dbmus.clone(),
+            rows_per_dbmu: self.rows.clone(),
+            frequency_mhz: self.freqs.clone(),
+            feature_buffer_bytes: kb(&self.feature_kb),
+            weight_buffer_bytes: kb(&self.weight_kb),
+            meta_buffer_bytes: kb(&self.meta_kb),
+            ..ArchGrid::around(ArchConfig::paper())
+        };
+        let mut spec = DseSpec::new(grid, self.models_or_all())
+            .with_widths(self.widths.clone())
+            .with_pruning(self.pruning.clone());
+        if !self.sparsity.is_empty() {
+            spec = spec.with_sparsity(self.sparsity.clone());
+        }
+        if self.fidelity {
+            spec = spec.with_fidelity();
+        }
+        spec
+    }
 }
 
 /// Command-line options of the `dbpim-served` daemon.
@@ -70,12 +339,9 @@ where
 /// --addr <ip>       bind address (default 127.0.0.1)
 /// --port <u16>      bind port (default 7531; 0 picks a free port)
 /// --threads <n>     worker threads (default 4)
-/// --width <f32>     channel width multiplier (default 1.0)
-/// --seed <u64>      synthetic-weight seed (default 42)
-/// --images <usize>  evaluation images for fidelity queries (default 16)
-/// --cal <usize>     calibration images (default 4)
-/// --classes <usize> output classes (default 100)
-/// --operand-width <4|8|12|16>  default weight operand width (default 8)
+/// [pipeline flags] `--width --seed --images --cal --classes --operand-width`
+///                   (see `pipeline_flag`); `--operand-width` is the
+///                   default width of requests that name none
 /// --cache-cap <n>   LRU cap on resident prepared models per width session
 ///                   (default unbounded; 0 is clamped to 1)
 /// --auth-token <s>  shared secret clients must present via Auth (default
@@ -146,49 +412,20 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// The flags this parser understands.
-    pub const FLAGS: [&'static str; 18] = [
-        "--addr",
-        "--port",
-        "--threads",
-        "--width",
-        "--seed",
-        "--images",
-        "--cal",
-        "--classes",
-        "--operand-width",
-        "--cache-cap",
-        "--auth-token",
-        "--max-frame-bytes",
-        "--max-pending",
-        "--max-client-conns",
-        "--log-level",
-        "--trace-dir",
-        "--trace-every",
-        "--trace-buffer",
-    ];
-
-    /// One-line usage text for the daemon binary.
+    /// Usage of the daemon binary (the pipeline flags follow on their own
+    /// line, [`PIPELINE_USAGE`]).
     pub const USAGE: &'static str = "usage: dbpim-served [--addr <ip>] [--port <u16>] \
-         [--threads <n>] [--width <f32>] [--seed <u64>] [--images <n>] [--cal <n>] \
-         [--classes <n>] [--operand-width <4|8|12|16>] [--cache-cap <n>] \
-         [--auth-token <secret>] [--max-frame-bytes <n>] [--max-pending <n>] \
-         [--max-client-conns <n>] [--log-level <error|warn|info|debug>] \
-         [--trace-dir <dir>] [--trace-every <n>] [--trace-buffer <spans>]";
+         [--threads <n>] [pipeline flags] [--cache-cap <n>] [--auth-token <secret>] \
+         [--max-frame-bytes <n>] [--max-pending <n>] [--max-client-conns <n>] \
+         [--log-level <error|warn|info|debug>] [--trace-dir <dir>] [--trace-every <n>] \
+         [--trace-buffer <spans>]";
 
     /// Parses options from the process arguments, exiting with status 2 and
     /// usage on stderr for a malformed command line.
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        match Self::from_slice(&args) {
-            Ok(options) => options,
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!("{}", Self::USAGE);
-                std::process::exit(2);
-            }
-        }
+        or_exit(Self::from_slice(&args), &[Self::USAGE, PIPELINE_USAGE])
     }
 
     /// Parses options from an explicit argument list.
@@ -199,50 +436,26 @@ impl ServeOptions {
     /// malformed value. Unknown arguments are ignored.
     pub fn from_slice(args: &[String]) -> Result<Self, OptionsError> {
         let mut options = Self::default();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if !Self::FLAGS.contains(&flag) {
-                i += 1;
-                continue;
-            }
-            let raw = args.get(i + 1).ok_or_else(|| OptionsError {
-                flag: flag.to_string(),
-                message: "missing value".to_string(),
-            })?;
-            match flag {
-                "--addr" => options.addr = raw.clone(),
-                "--port" => options.port = parse_value(flag, raw)?,
-                "--threads" => options.threads = parse_value::<usize>(flag, raw)?.max(1),
-                "--width" => options.pipeline.width_mult = parse_value(flag, raw)?,
-                "--seed" => options.pipeline.seed = parse_value(flag, raw)?,
-                "--images" => options.pipeline.evaluation_images = parse_value(flag, raw)?,
-                "--cal" => {
-                    options.pipeline.calibration_images = parse_value::<usize>(flag, raw)?.max(1);
-                }
-                "--classes" => options.pipeline.classes = parse_value(flag, raw)?,
-                "--operand-width" => {
-                    options.pipeline.operand_width = parse_value::<OperandWidth>(flag, raw)?;
-                }
-                "--cache-cap" => options.cache_cap = Some(parse_value::<usize>(flag, raw)?.max(1)),
-                "--auth-token" => options.auth_token = Some(raw.clone()),
-                "--max-frame-bytes" => {
-                    options.max_frame_bytes = parse_value::<usize>(flag, raw)?.max(1);
-                }
-                "--max-pending" => options.max_pending = parse_value(flag, raw)?,
+        scan(args, |flag| {
+            match flag.name() {
+                "--addr" => options.addr = flag.raw()?.to_string(),
+                "--port" => options.port = flag.value()?,
+                "--threads" => options.threads = flag.value::<usize>()?.max(1),
+                "--cache-cap" => options.cache_cap = Some(flag.value::<usize>()?.max(1)),
+                "--auth-token" => options.auth_token = Some(flag.raw()?.to_string()),
+                "--max-frame-bytes" => options.max_frame_bytes = flag.value::<usize>()?.max(1),
+                "--max-pending" => options.max_pending = flag.value()?,
                 "--max-client-conns" => {
-                    options.max_client_conns = Some(parse_value::<usize>(flag, raw)?.max(1));
+                    options.max_client_conns = Some(flag.value::<usize>()?.max(1));
                 }
-                "--log-level" => options.log_level = parse_value(flag, raw)?,
-                "--trace-dir" => options.trace_dir = Some(PathBuf::from(raw)),
-                "--trace-every" => options.trace_every = parse_value::<u64>(flag, raw)?.max(1),
-                "--trace-buffer" => {
-                    options.trace_buffer = Some(parse_value::<usize>(flag, raw)?.max(1));
-                }
-                _ => unreachable!("flag list and match arms agree"),
+                "--log-level" => options.log_level = flag.value()?,
+                "--trace-dir" => options.trace_dir = Some(PathBuf::from(flag.raw()?)),
+                "--trace-every" => options.trace_every = flag.value::<u64>()?.max(1),
+                "--trace-buffer" => options.trace_buffer = Some(flag.value::<usize>()?.max(1)),
+                _ => return pipeline_flag(&mut options.pipeline, flag),
             }
-            i += 2;
-        }
+            Ok(true)
+        })?;
         Ok(options)
     }
 

@@ -84,13 +84,11 @@ pub struct TraceContext {
 
 /// One client request, one JSON line on the wire.
 ///
-/// `Serialize` is hand-written (not derived) for one reason: the optional
-/// `trace` field on the work-carrying variants must be *omitted* when
-/// absent — the vendored derive would emit `"trace":null`, changing the
-/// bytes of every v4-era request. Every other field reproduces the derive
-/// encoding exactly (declaration order, externally tagged variants); the
-/// round-trip tests below pin that equivalence.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// The optional `trace` field on the work-carrying variants is *omitted*
+/// when absent rather than serialized as `null`, so context-free requests
+/// keep the bytes of every v4-era request; the byte-frozen request tests
+/// in `tests/serve_protocol.rs` pin that.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Liveness / version probe.
     Ping,
@@ -126,6 +124,7 @@ pub enum Request {
         /// deadline.
         deadline_ms: Option<u64>,
         /// Distributed-tracing context; omitted from the wire when `None`.
+        #[serde(skip_serializing_if = "Option::is_none")]
         trace: Option<TraceContext>,
     },
     /// Run a full sweep; results stream incrementally.
@@ -139,6 +138,7 @@ pub enum Request {
         /// streamed entries stand). `None` means no deadline.
         deadline_ms: Option<u64>,
         /// Distributed-tracing context; omitted from the wire when `None`.
+        #[serde(skip_serializing_if = "Option::is_none")]
         trace: Option<TraceContext>,
     },
     /// Run a design-space exploration; grid entries stream incrementally
@@ -156,6 +156,7 @@ pub enum Request {
         /// can report it.
         shard: Option<ShardAnnotation>,
         /// Distributed-tracing context; omitted from the wire when `None`.
+        #[serde(skip_serializing_if = "Option::is_none")]
         trace: Option<TraceContext>,
     },
     /// Snapshot the daemon's request counters and warm-cache statistics.
@@ -193,66 +194,6 @@ impl Request {
             | Request::Sweep { trace, .. }
             | Request::Explore { trace, .. } => trace.as_ref(),
             _ => None,
-        }
-    }
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> serde::value::Value {
-        use serde::value::Value;
-        // Mirrors the derive's externally-tagged encoding field-for-field
-        // (declaration order), except that a `None` trace context is
-        // omitted instead of serialized as `null` — see the type docs.
-        let variant = |name: &str, fields: Vec<(String, Value)>| {
-            Value::Map(vec![(name.to_string(), Value::Map(fields))])
-        };
-        let push_trace = |fields: &mut Vec<(String, Value)>, trace: &Option<TraceContext>| {
-            if let Some(context) = trace {
-                fields.push(("trace".to_string(), context.to_value()));
-            }
-        };
-        match self {
-            Request::Ping => Value::Str("Ping".to_string()),
-            Request::Auth { token } => {
-                variant("Auth", vec![("token".to_string(), token.to_value())])
-            }
-            Request::ListModels => Value::Str("ListModels".to_string()),
-            Request::RunModel { model, sparsity, width, arch, fidelity, deadline_ms, trace } => {
-                let mut fields = vec![
-                    ("model".to_string(), model.to_value()),
-                    ("sparsity".to_string(), sparsity.to_value()),
-                    ("width".to_string(), width.to_value()),
-                    ("arch".to_string(), arch.to_value()),
-                    ("fidelity".to_string(), fidelity.to_value()),
-                    ("deadline_ms".to_string(), deadline_ms.to_value()),
-                ];
-                push_trace(&mut fields, trace);
-                variant("RunModel", fields)
-            }
-            Request::Sweep { spec, fidelity, deadline_ms, trace } => {
-                let mut fields = vec![
-                    ("spec".to_string(), spec.to_value()),
-                    ("fidelity".to_string(), fidelity.to_value()),
-                    ("deadline_ms".to_string(), deadline_ms.to_value()),
-                ];
-                push_trace(&mut fields, trace);
-                variant("Sweep", fields)
-            }
-            Request::Explore { spec, deadline_ms, shard, trace } => {
-                let mut fields = vec![
-                    ("spec".to_string(), spec.to_value()),
-                    ("deadline_ms".to_string(), deadline_ms.to_value()),
-                    ("shard".to_string(), shard.to_value()),
-                ];
-                push_trace(&mut fields, trace);
-                variant("Explore", fields)
-            }
-            Request::CacheStats => Value::Str("CacheStats".to_string()),
-            Request::Stats => Value::Str("Stats".to_string()),
-            Request::ShardStatus => Value::Str("ShardStatus".to_string()),
-            Request::TraceSnapshot => Value::Str("TraceSnapshot".to_string()),
-            Request::MetricsSnapshot => Value::Str("MetricsSnapshot".to_string()),
-            Request::Shutdown => Value::Str("Shutdown".to_string()),
         }
     }
 }

@@ -1,7 +1,6 @@
 //! The fleet orchestrator's contract:
 //!
-//! * every partition strategy covers the spec with no duplicates and no
-//!   gaps;
+//! * the shard plan covers the spec with no duplicates and no gaps;
 //! * a merged fleet report is bit-identical (timestamps ignored) to a
 //!   single `DseDriver` run of the same spec;
 //! * killing a worker mid-run still completes with every point exactly
@@ -11,13 +10,11 @@
 //!   are skipped with a diagnostic, or error, respectively.
 
 use std::collections::HashSet;
-use std::sync::mpsc;
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
 
 use db_pim::prelude::*;
-use dbpim_fleet::{
-    FleetConfig, FleetDriver, FleetError, FleetEvent, ShardPlan, ShardStrategy, WorkerSpec,
-};
+use dbpim_fleet::{FleetConfig, FleetDriver, FleetError, FleetEvent, ShardPlan, WorkerSpec};
 use dbpim_serve::{ServeConfig, Server};
 
 fn small_config() -> PipelineConfig {
@@ -43,36 +40,30 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Every strategy partitions the spec's canonical point list completely:
+/// The shard plan partitions the spec's canonical point list completely:
 /// each point in exactly one shard, across a range of worker counts.
 #[test]
 fn every_strategy_covers_the_spec_with_no_duplicates_or_gaps() {
     let spec = small_spec().with_widths(vec![OperandWidth::Int4, OperandWidth::Int8]);
     let points = spec.points(OperandWidth::Int8, PruningSpec::none()).expect("feasible spec");
     assert_eq!(points.len(), 16, "2 models x 2 widths x 4 geometries");
-    for strategy in ShardStrategy::all() {
-        for workers in [1, 2, 3, 7, 16, 21] {
-            let plan = ShardPlan::partition(&points, workers, strategy);
-            assert!(
-                plan.is_complete_partition(),
-                "{strategy} over {workers} workers is not a complete partition"
-            );
-            // The invariant the helper checks, re-asserted independently:
-            // indices 0..N each appear exactly once across all shards.
-            let mut seen = HashSet::new();
-            for shard in &plan.shards {
-                for &point in &shard.points {
-                    assert!(seen.insert(point), "{strategy}: point {point} in two shards");
-                }
+    for workers in [1, 2, 3, 7, 16, 21] {
+        let plan = ShardPlan::partition(&points, workers);
+        assert!(plan.is_complete_partition(), "{workers} workers do not get a complete partition");
+        // The invariant the helper checks, re-asserted independently:
+        // indices 0..N each appear exactly once across all shards.
+        let mut seen = HashSet::new();
+        for shard in &plan.shards {
+            for &point in &shard.points {
+                assert!(seen.insert(point), "point {point} in two shards");
             }
-            assert_eq!(seen.len(), points.len(), "{strategy}: gaps over {workers} workers");
         }
+        assert_eq!(seen.len(), points.len(), "gaps over {workers} workers");
     }
 }
 
 /// The headline bit-identity contract: a fleet of local workers produces a
-/// merged report whose results match a single-driver run exactly, for
-/// every partition strategy.
+/// merged report whose results match a single-driver run exactly.
 #[test]
 fn fleet_merge_is_bit_identical_to_a_single_driver_run() {
     let config = small_config();
@@ -80,24 +71,21 @@ fn fleet_merge_is_bit_identical_to_a_single_driver_run() {
     let single = DseDriver::new(config).expect("valid config").run(&spec).expect("single run");
     assert!(single.is_complete());
 
-    for strategy in ShardStrategy::all() {
-        let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local])
-            .with_strategy(strategy);
-        let outcome = FleetDriver::new(fleet_config).run(&spec).expect("fleet run");
-        assert!(outcome.report.is_complete(), "{strategy}: incomplete report");
-        assert!(
-            outcome.report.results_match(&single),
-            "{strategy}: merged fleet report diverges from the single-driver run"
-        );
-        // Exactly-once: no duplicate keys survived the merge.
-        let keys: HashSet<DsePointKey> =
-            outcome.report.entries.iter().map(|e| e.canonical_key()).collect();
-        assert_eq!(keys.len(), outcome.report.entries.len(), "{strategy}: duplicate entries");
-        assert_eq!(outcome.stats.fresh_points, single.entries.len());
-        assert_eq!(outcome.stats.resumed_points, 0);
-        let worked: usize = outcome.stats.workers.iter().map(|w| w.points).sum();
-        assert_eq!(worked, single.entries.len(), "{strategy}: worker counters disagree");
-    }
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local, WorkerSpec::Local]);
+    let outcome = FleetDriver::new(fleet_config).run(&spec).expect("fleet run");
+    assert!(outcome.report.is_complete(), "incomplete report");
+    assert!(
+        outcome.report.results_match(&single),
+        "merged fleet report diverges from the single-driver run"
+    );
+    // Exactly-once: no duplicate keys survived the merge.
+    let keys: HashSet<DsePointKey> =
+        outcome.report.entries.iter().map(|e| e.canonical_key()).collect();
+    assert_eq!(keys.len(), outcome.report.entries.len(), "duplicate entries");
+    assert_eq!(outcome.stats.fresh_points, single.entries.len());
+    assert_eq!(outcome.stats.resumed_points, 0);
+    let worked: usize = outcome.stats.workers.iter().map(|w| w.points).sum();
+    assert_eq!(worked, single.entries.len(), "worker counters disagree");
 }
 
 /// Killing a serve daemon mid-run retires its remote worker; the local
@@ -128,26 +116,45 @@ fn killing_a_worker_mid_run_reassigns_its_points() {
     let addr = handle.addr().to_string();
 
     // Kill the daemon as soon as the remote worker (index 0) completes its
-    // first point — deterministically "mid-run" because its contiguous
-    // shard holds half the grid.
+    // first point — "mid-run" because its round-robin shard holds half the
+    // grid. The observer runs on the reporting worker's thread, which
+    // sequences the kill: the remote worker waits until its daemon has
+    // exited, and the local worker holds its first result until the remote
+    // worker has retired, so it cannot drain the remote shard first.
     let (kill_tx, kill_rx) = mpsc::channel::<()>();
+    let (dead_tx, dead_rx) = mpsc::channel::<()>();
     let killer = std::thread::spawn(move || {
         // Even if the signal never arrives (remote worker dead on arrival),
         // shut the daemon down so the test cannot leak it.
         let _ = kill_rx.recv_timeout(Duration::from_secs(120));
         handle.request_shutdown();
-        handle.join()
+        let joined = handle.join();
+        let _ = dead_tx.send(());
+        joined
     });
+    let dead_rx = Mutex::new(dead_rx);
+    let retired = (Mutex::new(false), Condvar::new());
 
     let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Remote(addr), WorkerSpec::Local])
-        .with_strategy(ShardStrategy::Contiguous)
         .with_point_timeout(Duration::from_secs(30))
         .with_fleet_id("kill-test")
         .with_auth_token("fleet-secret");
-    let driver = FleetDriver::new(fleet_config).with_observer(move |event| {
-        if let FleetEvent::PointDone { worker: 0, .. } = event {
+    let driver = FleetDriver::new(fleet_config).with_observer(move |event| match event {
+        FleetEvent::PointDone { worker: 0, .. } => {
             let _ = kill_tx.send(());
+            let _ = dead_rx.lock().unwrap().recv_timeout(Duration::from_secs(60));
         }
+        FleetEvent::PointDone { worker: 1, .. } => {
+            let (lock, cv) = &retired;
+            let guard = lock.lock().unwrap();
+            let _ = cv.wait_timeout_while(guard, Duration::from_secs(60), |done| !*done);
+        }
+        FleetEvent::WorkerRetired { worker: 0, .. } => {
+            let (lock, cv) = &retired;
+            *lock.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        _ => {}
     });
     let outcome = driver.run(&spec).expect("fleet survives the worker kill");
     killer.join().expect("killer thread").expect("daemon exits cleanly");
@@ -197,9 +204,7 @@ fn overlapping_and_half_written_shard_snapshots_resume_cleanly() {
     std::fs::write(dir.join("shard-002.json"), "{\"spec\":{\"grid\":{\"base\"")
         .expect("torn snapshot writes");
 
-    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local])
-        .with_snapshot_dir(&dir)
-        .with_strategy(ShardStrategy::RoundRobin);
+    let fleet_config = FleetConfig::new(config, vec![WorkerSpec::Local]).with_snapshot_dir(&dir);
     let outcome = FleetDriver::new(fleet_config).run(&spec).expect("resume runs");
 
     assert!(outcome.report.results_match(&single), "resumed fleet diverges");
