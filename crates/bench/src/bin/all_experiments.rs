@@ -9,9 +9,12 @@
 //! This is the one-shot artifact-evaluation entry point; its output is the
 //! source of the numbers recorded in `EXPERIMENTS.md`.
 
-use dbpim_bench::{experiments, options_from_args, ExperimentContext};
+use dbpim_bench::{
+    experiments, finish_trace, options_from_args, trace_from_args, ExperimentContext,
+};
 
 fn main() {
+    let trace = trace_from_args("all_experiments");
     let options = options_from_args();
     let context = match ExperimentContext::new(options) {
         Ok(context) => context,
@@ -58,4 +61,5 @@ fn main() {
         Ok(report) => println!("{report}"),
         Err(e) => eprintln!("joint_sparsity failed: {e}"),
     }
+    finish_trace("all_experiments", trace);
 }

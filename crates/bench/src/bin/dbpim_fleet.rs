@@ -46,11 +46,7 @@ fn main() {
         (Err(e), _) => usage_error(&e.to_string()),
         (_, Err(e)) => usage_error(&e.to_string()),
     };
-    match dbpim_trace::log_level_from_args(&args) {
-        Ok(_) => {}
-        Err(e) => usage_error(&e),
-    }
-    let trace = match TraceSink::from_args(&args) {
+    let trace = match dbpim_trace::observability_from_args(&args) {
         Ok(sink) => sink,
         Err(e) => usage_error(&e),
     };

@@ -18,11 +18,7 @@ fn main() {
         DseSweepOptions::from_slice(&args),
         &[DseSweepOptions::USAGE, PIPELINE_USAGE, GRID_USAGE],
     );
-    if let Err(e) = dbpim_trace::log_level_from_args(&args) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let trace = match dbpim_trace::TraceSink::from_args(&args) {
+    let trace = match dbpim_trace::observability_from_args(&args) {
         Ok(sink) => sink,
         Err(e) => {
             eprintln!("{e}");

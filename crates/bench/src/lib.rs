@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use db_pim::measure::for_each_pim_operand;
 use db_pim::prelude::*;
 use db_pim::PipelineError;
 use dbpim_fta::stats::{LayerFtaStats, ModelFtaStats};
@@ -20,6 +21,7 @@ use dbpim_nn::Layer;
 use dbpim_serve::options::{or_exit, parse_pipeline, PIPELINE_USAGE};
 use dbpim_tensor::quant::QuantizedTensor;
 use dbpim_tensor::stats::zero_bit_column_ratio;
+use dbpim_trace::TraceSink;
 
 pub mod dse;
 pub mod experiments;
@@ -126,30 +128,39 @@ pub fn run_report_binary<F>(name: &str, generate: F)
 where
     F: FnOnce(&ExperimentContext) -> Result<String, PipelineError>,
 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = dbpim_trace::log_level_from_args(&args) {
-        eprintln!("{name}: {e}");
-        std::process::exit(2);
-    }
-    let trace = match dbpim_trace::TraceSink::from_args(&args) {
-        Ok(sink) => sink,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let trace = trace_from_args(name);
     let options = options_from_args();
     let result = ExperimentContext::new(options).and_then(|context| generate(&context));
-    if let Some(sink) = trace {
-        if let Err(e) = sink.finish() {
-            eprintln!("{name}: writing the trace failed: {e}");
-        }
-    }
+    finish_trace(name, trace);
     match result {
         Ok(report) => print!("{report}"),
         Err(e) => {
             eprintln!("{name} failed: {e}");
             std::process::exit(1);
+        }
+    }
+}
+
+/// Applies the process arguments' `--log-level` and installs their
+/// `--trace-out` sink (see [`dbpim_trace::observability_from_args`]).
+///
+/// Prints the error prefixed by `name` to stderr and exits with status 2 on
+/// a malformed flag.
+#[must_use]
+pub fn trace_from_args(name: &str) -> Option<TraceSink> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    dbpim_trace::observability_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Writes the Chrome trace of a [`trace_from_args`] sink, if one was
+/// installed; a write failure is reported on stderr, prefixed by `name`.
+pub fn finish_trace(name: &str, trace: Option<TraceSink>) {
+    if let Some(sink) = trace {
+        if let Err(e) = sink.finish() {
+            eprintln!("{name}: writing the trace failed: {e}");
         }
     }
 }
@@ -217,25 +228,12 @@ pub fn input_column_sparsity(
     let group_sizes = [1usize, 8, 16];
     let mut sums = [0.0f64; 3];
     let mut samples = 0usize;
-    for image in &images {
-        let outputs = quantized.forward_all(image)?;
-        let q_input = quantized.input_qp().quantize_tensor(image);
-        for &node_id in &quantized.pim_node_ids() {
-            let node = &quantized.nodes()[node_id];
-            let (tensor, zero_point) = if node.inputs.is_empty() {
-                (&q_input, quantized.input_qp().zero_point())
-            } else {
-                let producer = node.inputs[0];
-                (&outputs[producer], quantized.nodes()[producer].output_qp.zero_point())
-            };
-            let operand: Vec<i8> =
-                tensor.data().iter().map(|&v| (i32::from(v) - zero_point) as u8 as i8).collect();
-            for (slot, &group) in group_sizes.iter().enumerate() {
-                sums[slot] += zero_bit_column_ratio(&operand, group);
-            }
-            samples += 1;
+    for_each_pim_operand(&quantized, &images, |_, operand| {
+        for (sum, &group) in sums.iter_mut().zip(&group_sizes) {
+            *sum += zero_bit_column_ratio(operand, group);
         }
-    }
+        samples += 1;
+    })?;
     let mut out = [0.0f64; 3];
     if samples > 0 {
         for (o, s) in out.iter_mut().zip(sums.iter()) {

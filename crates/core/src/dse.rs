@@ -859,7 +859,7 @@ impl DseDriver {
         &self.runner
     }
 
-    /// Aggregated cache counters of the underlying sessions.
+    /// Cache counters of the underlying session.
     #[must_use]
     pub fn cache_stats(&self) -> SessionCacheStats {
         self.runner.cache_stats()

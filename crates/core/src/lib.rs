@@ -18,9 +18,11 @@
 //!
 //! This crate ties everything together into a single [`Pipeline`], and the
 //! [`session`] module scales that flow up: a [`SimSession`] caches the
-//! expensive per-model artifacts (quantization, FTA, compiled programs) so a
-//! [`BatchRunner`] can sweep models × sparsity configurations ×
-//! architectures in parallel and return structured [`SweepReport`]s.
+//! expensive artifacts (quantization, FTA, compiled programs) of every
+//! (model, operand width, pruning) variant so a [`BatchRunner`] — that
+//! session plus a thread count — can sweep models × sparsity configurations
+//! × architectures × widths × pruning specs in parallel and return
+//! structured [`SweepReport`]s.
 //!
 //! Every grid is a list of [`DsePoint`]s: a [`SweepSpec`] and a [`DseSpec`]
 //! enumerate their points in the same canonical order (models, widths,

@@ -33,6 +33,30 @@ pub fn measure_input_sparsity(
     }
     let pim_nodes = model.pim_node_ids();
     let mut sums = vec![0.0f64; pim_nodes.len()];
+    for_each_pim_operand(model, images, |slot, operand| {
+        sums[slot] += zero_bit_column_ratio(operand, IPU_GROUP);
+    })?;
+    for (slot, &node_id) in pim_nodes.iter().enumerate() {
+        profile.set(node_id, sums[slot] / images.len() as f64);
+    }
+    Ok(profile)
+}
+
+/// Runs the quantized model on every image and hands each PIM layer's input
+/// operand (`q_x - zero_point`, the bit-serial form the IPU sees) to
+/// `visit`, together with the layer's position in
+/// [`QuantizedModel::pim_node_ids`]. Images are visited in order, and the
+/// layers of one image in PIM order.
+///
+/// # Errors
+///
+/// Propagates quantized-inference errors.
+pub fn for_each_pim_operand(
+    model: &QuantizedModel,
+    images: &[Tensor<f32>],
+    mut visit: impl FnMut(usize, &[i8]),
+) -> Result<(), PipelineError> {
+    let pim_nodes = model.pim_node_ids();
     for image in images {
         let outputs = model.forward_all(image)?;
         let q_input = model.input_qp().quantize_tensor(image);
@@ -46,13 +70,10 @@ pub fn measure_input_sparsity(
             };
             let operand: Vec<i8> =
                 tensor.data().iter().map(|&v| (i32::from(v) - zero_point) as u8 as i8).collect();
-            sums[slot] += zero_bit_column_ratio(&operand, IPU_GROUP);
+            visit(slot, &operand);
         }
     }
-    for (slot, &node_id) in pim_nodes.iter().enumerate() {
-        profile.set(node_id, sums[slot] / images.len() as f64);
-    }
-    Ok(profile)
+    Ok(())
 }
 
 #[cfg(test)]

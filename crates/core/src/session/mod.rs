@@ -13,8 +13,10 @@
 //!   sparsity statistics, the measured input-sparsity profile, and lazily
 //!   compiled per-architecture dense/DB-PIM programs. Prepared **once**,
 //!   simulated many times.
-//! * [`SimSession`] — a cache of artifacts keyed by model, shared by every
-//!   consumer (experiment binaries, examples, benches).
+//! * [`SimSession`] — the one cache of artifacts, keyed by (model, operand
+//!   width, pruning) under one base configuration and shared by every
+//!   consumer (experiment binaries, examples, benches, the daemon). The
+//!   float models are built once per model and shared by every variant.
 //! * [`BatchRunner`] — executes a [`SweepSpec`] (models × sparsity × arch ×
 //!   operand width × pruning) in parallel over scoped std threads (see
 //!   [`par`]; rayon is unavailable in the offline build environment) and
@@ -81,8 +83,8 @@ pub struct SessionCacheStats {
 }
 
 impl SessionCacheStats {
-    /// Adds another snapshot's counters into this one (aggregation across
-    /// the per-width sessions of a [`BatchRunner`]).
+    /// Adds another snapshot's counters into this one (e.g. summing the
+    /// counters of several sessions or of several measured intervals).
     pub fn absorb(&mut self, other: SessionCacheStats) {
         self.artifact_hits += other.artifact_hits;
         self.artifact_misses += other.artifact_misses;
@@ -171,8 +173,8 @@ impl ModelArtifacts {
         // Value-level pruning happens here, before quantization, so every
         // downstream stage (quantizer, FTA, metadata, compiler, simulator)
         // sees the masked weights. The stored `model` stays the *unpruned*
-        // original — cache identity in [`SimSession`] compares against the
-        // model the caller handed in. An inactive spec takes the exact
+        // original, shared by every width and pruning variant a
+        // [`SimSession`] prepares from it. An inactive spec takes the exact
         // historical path: no clone, no masking, bit-identical artifacts.
         let pruned_model;
         let work_model: &Model = if config.pruning.is_active() {
@@ -436,9 +438,9 @@ impl ModelArtifacts {
 }
 
 /// One artifact-cache slot: filled exactly once, concurrent requests for the
-/// same model wait on the slot instead of duplicating the preparation. The
-/// recency stamp orders filled slots for LRU eviction when a capacity cap is
-/// configured.
+/// same (model, width, pruning) variant wait on the slot instead of
+/// duplicating the preparation. The recency stamp orders filled slots for
+/// LRU eviction when a capacity cap is configured.
 #[derive(Debug, Default)]
 struct ArtifactSlotEntry {
     cell: Mutex<Option<Arc<ModelArtifacts>>>,
@@ -449,27 +451,35 @@ struct ArtifactSlotEntry {
 
 type ArtifactSlot = Arc<ArtifactSlotEntry>;
 
-/// A shared cache of per-model pipeline artifacts under one configuration.
+/// The identity of one artifact slot: the zoo model, the operand width and
+/// the canonical pruning spec (by [`PruningSpec::key_bits`]) it was
+/// prepared at.
+type ArtifactKey = (ModelKind, OperandWidth, (u8, u64));
+
+/// A shared cache of pipeline artifacts for every (model, operand width,
+/// pruning) variant under one base configuration.
 ///
 /// Sessions are cheap to create and thread-safe to share: artifact
-/// preparation happens on first request per model and every later consumer
-/// (another experiment table, another sparsity configuration, another
-/// thread) reuses the cached value. Preparation is *single-flight*: N
-/// concurrent requests for the same model perform exactly one build — the
-/// others block on the model's cache slot and receive the shared artifacts —
-/// while requests for different models proceed in parallel (the slot map
-/// itself is behind a read-mostly [`RwLock`]). [`Self::cache_stats`]
-/// snapshots the hit/miss counters, which the serving layer exposes over the
-/// wire.
+/// preparation happens on first request per variant and every later
+/// consumer (another experiment table, another sparsity configuration,
+/// another thread) reuses the cached value. The float zoo models are built
+/// once per [`ModelKind`] and shared by every width and pruning variant.
+/// Preparation is *single-flight*: N concurrent requests for the same
+/// variant perform exactly one build — the others block on its cache slot
+/// and receive the shared artifacts — while requests for different variants
+/// proceed in parallel (the slot map itself is behind a read-mostly
+/// [`RwLock`]). [`Self::cache_stats`] snapshots the hit/miss counters,
+/// which the serving layer exposes over the wire.
 #[derive(Debug)]
 pub struct SimSession {
     config: PipelineConfig,
     models: Mutex<HashMap<ModelKind, Arc<Model>>>,
-    artifacts: RwLock<HashMap<String, ArtifactSlot>>,
+    artifacts: RwLock<HashMap<ArtifactKey, ArtifactSlot>>,
     artifact_hits: AtomicU64,
     artifact_misses: AtomicU64,
-    /// Maximum number of *filled* artifact slots kept resident;
-    /// `usize::MAX` means unbounded (the historical behaviour).
+    /// Maximum number of *filled* artifact slots kept resident per (width,
+    /// pruning) variant; `usize::MAX` means unbounded (the historical
+    /// behaviour).
     capacity: AtomicUsize,
     /// Logical clock stamping artifact hits/fills for LRU ordering.
     clock: AtomicU64,
@@ -503,11 +513,12 @@ impl SimSession {
         })
     }
 
-    /// Caps the number of prepared artifact sets kept resident: once more
-    /// than `cap` slots are filled, the least-recently-used one is evicted
-    /// (and counted in [`SessionCacheStats::artifact_evictions`]). `None`
-    /// removes the cap; a cap of `0` is clamped to `1` — a session that can
-    /// cache nothing would silently degrade every request to a cold build.
+    /// Caps the number of prepared artifact sets kept resident per (operand
+    /// width, pruning) variant: once a variant has more than `cap` filled
+    /// slots, its least-recently-used one is evicted (and counted in
+    /// [`SessionCacheStats::artifact_evictions`]). `None` removes the cap; a
+    /// cap of `0` is clamped to `1` — a session that can cache nothing would
+    /// silently degrade every request to a cold build.
     ///
     /// In-flight users of an evicted artifact set keep their `Arc` and are
     /// unaffected; the next request for that model simply rebuilds.
@@ -515,7 +526,8 @@ impl SimSession {
         self.capacity.store(cap.map_or(usize::MAX, |c| c.max(1)), Ordering::Relaxed);
     }
 
-    /// The configured artifact-cache capacity (`None` = unbounded).
+    /// The configured per-variant artifact-cache capacity (`None` =
+    /// unbounded).
     #[must_use]
     pub fn cache_capacity(&self) -> Option<usize> {
         match self.capacity.load(Ordering::Relaxed) {
@@ -530,27 +542,29 @@ impl SimSession {
         slot.last_used.store(now, Ordering::Relaxed);
     }
 
-    /// Evicts least-recently-used filled slots until at most the configured
-    /// capacity remain. `keep` names the slot that must survive (the one the
-    /// caller just filled and still holds locked — its cell `try_lock` fails,
-    /// so it is invisible to the candidate scan and exempted by name).
-    fn enforce_capacity(&self, keep: &str) {
+    /// Evicts least-recently-used filled slots of `keep`'s (width, pruning)
+    /// variant until at most the configured capacity remain. `keep` names
+    /// the slot that must survive (the one the caller just filled and still
+    /// holds locked — its cell `try_lock` fails, so it is invisible to the
+    /// candidate scan and exempted by key).
+    fn enforce_capacity(&self, keep: ArtifactKey) {
         let cap = self.capacity.load(Ordering::Relaxed);
         if cap == usize::MAX {
             return;
         }
         let mut cache = self.artifacts.write().expect("artifact cache lock");
         loop {
-            // Filled slots other than `keep` that are not mid-preparation
-            // (an un-lockable cell is either being filled or being read;
-            // both make it a poor eviction victim right now). The victim's
-            // artifacts are captured here so its program counters can be
-            // folded into the session-level accumulators — evicting a model
-            // must never make the cache statistics go backwards.
-            let mut victim: Option<(String, u64, Arc<ModelArtifacts>)> = None;
+            // Filled slots of the same variant other than `keep` that are
+            // not mid-preparation (an un-lockable cell is either being
+            // filled or being read; both make it a poor eviction victim
+            // right now). The victim's artifacts are captured here so its
+            // program counters can be folded into the session-level
+            // accumulators — evicting a model must never make the cache
+            // statistics go backwards.
+            let mut victim: Option<(ArtifactKey, u64, Arc<ModelArtifacts>)> = None;
             let mut filled_others = 0usize;
-            for (name, slot) in cache.iter() {
-                if name == keep {
+            for (&key, slot) in cache.iter() {
+                if key == keep || (key.1, key.2) != (keep.1, keep.2) {
                     continue;
                 }
                 let Ok(guard) = slot.cell.try_lock() else { continue };
@@ -558,7 +572,7 @@ impl SimSession {
                     filled_others += 1;
                     let stamp = slot.last_used.load(Ordering::Relaxed);
                     if victim.as_ref().is_none_or(|(_, best, _)| stamp < *best) {
-                        victim = Some((name.clone(), stamp, Arc::clone(artifacts)));
+                        victim = Some((key, stamp, Arc::clone(artifacts)));
                     }
                 }
             }
@@ -566,8 +580,8 @@ impl SimSession {
             if filled_others < cap {
                 return;
             }
-            let Some((name, _, artifacts)) = victim else { return };
-            cache.remove(&name);
+            let Some((key, _, artifacts)) = victim else { return };
+            cache.remove(&key);
             self.evicted_program_hits
                 .fetch_add(artifacts.program_hits.load(Ordering::Relaxed), Ordering::Relaxed);
             self.evicted_program_misses
@@ -583,7 +597,8 @@ impl SimSession {
     }
 
     /// The built zoo model for `kind` (cached; honours the configured width
-    /// multiplier, classes and seed).
+    /// multiplier, classes and seed). Every (width, pruning) variant of
+    /// `kind` is prepared from this one shared model.
     ///
     /// # Errors
     ///
@@ -600,100 +615,64 @@ impl SimSession {
         Ok(Arc::clone(self.models.lock().expect("model cache lock").entry(kind).or_insert(model)))
     }
 
-    /// The prepared artifacts for a zoo model (cached).
+    /// The prepared artifacts for a zoo model at the configured operand
+    /// width and pruning (cached).
     ///
     /// # Errors
     ///
     /// Propagates preparation failures.
     pub fn artifacts(&self, kind: ModelKind) -> Result<Arc<ModelArtifacts>, PipelineError> {
-        let model = self.model(kind)?;
-        self.artifacts_for_shared(model)
+        self.artifacts_at(kind, self.config.operand_width, self.config.pruning)
     }
 
-    /// The prepared artifacts for an arbitrary (non-zoo) model, cached by
-    /// model name. A cache hit is validated against the requested model, so
-    /// two distinct models sharing a name cannot receive each other's
-    /// results — the mismatching one is prepared fresh, uncached.
+    /// The prepared artifacts for a zoo model at an explicit (operand width,
+    /// pruning) variant of the session configuration (cached).
     ///
     /// # Errors
     ///
-    /// Propagates preparation failures.
-    pub fn artifacts_for_model(&self, model: &Model) -> Result<Arc<ModelArtifacts>, PipelineError> {
-        // Fast path first: a warm hit (or a same-name one-off) must not pay
-        // the full weight-tensor clone the shared path needs.
-        let existing =
-            self.artifacts.read().expect("artifact cache lock").get(model.name()).cloned();
-        if let Some(slot) = existing {
-            let filled_with_other_model = {
-                let guard = slot.cell.lock().expect("artifact slot lock");
-                match guard.as_ref() {
-                    Some(found) if found.model() == model => {
-                        self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                        self.touch(&slot);
-                        return Ok(Arc::clone(found));
-                    }
-                    Some(_) => true,
-                    None => false,
-                }
-            };
-            if filled_with_other_model {
-                // Same name, different graph/weights: don't reuse and don't
-                // evict the existing entry — prepare a one-off (outside the
-                // slot lock, so warm hits for the cached model keep flowing).
-                self.artifact_misses.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::new(ModelArtifacts::prepare(&self.config, model)?));
-            }
-        }
-        self.artifacts_for_shared(Arc::new(model.clone()))
-    }
-
-    /// The cache slot for `name`, inserting an empty one if absent. Readers
-    /// share the map lock; only the first request for a new name takes the
-    /// write lock.
-    fn artifact_slot(&self, name: &str) -> ArtifactSlot {
-        if let Some(slot) = self.artifacts.read().expect("artifact cache lock").get(name) {
-            return Arc::clone(slot);
-        }
-        let mut cache = self.artifacts.write().expect("artifact cache lock");
-        Arc::clone(cache.entry(name.to_string()).or_default())
-    }
-
-    fn artifacts_for_shared(
+    /// Returns [`PipelineError::BadConfig`] for an invalid pruning spec and
+    /// propagates preparation failures.
+    pub fn artifacts_at(
         &self,
-        model: Arc<Model>,
+        kind: ModelKind,
+        width: OperandWidth,
+        pruning: PruningSpec,
     ) -> Result<Arc<ModelArtifacts>, PipelineError> {
-        let name = model.name().to_string();
-        let slot = self.artifact_slot(&name);
-        // Holding the slot lock during preparation makes the build
-        // single-flight per model name: a concurrent duplicate request waits
-        // here and receives the shared artifacts instead of re-preparing.
-        // Different models use different slots, so they still prepare in
-        // parallel.
-        let mut guard = slot.cell.lock().expect("artifact slot lock");
-        let filled_with_other_model = match guard.as_ref() {
-            Some(found) if *found.model() == *model => {
-                self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(&slot);
-                return Ok(Arc::clone(found));
+        let config = self.config.with_operand_width(width).with_pruning(pruning);
+        let key = (kind, width, config.pruning.key_bits());
+        let existing = self.artifacts.read().expect("artifact cache lock").get(&key).cloned();
+        let slot = match existing {
+            Some(slot) => slot,
+            None => {
+                // Only a valid variant ever gets a slot.
+                config.validate()?;
+                Arc::clone(
+                    self.artifacts.write().expect("artifact cache lock").entry(key).or_default(),
+                )
             }
-            Some(_) => true,
-            None => false,
         };
-        self.artifact_misses.fetch_add(1, Ordering::Relaxed);
-        if filled_with_other_model {
-            // Same name, different graph/weights: don't reuse and don't
-            // evict the existing entry — prepare a one-off, outside the
-            // slot lock so warm hits for the cached model keep flowing.
-            drop(guard);
-            return Ok(Arc::new(ModelArtifacts::prepare_shared(&self.config, model)?));
+        // Holding the slot lock during preparation makes the build
+        // single-flight per variant: a concurrent duplicate request waits
+        // here and receives the shared artifacts instead of re-preparing.
+        // Different variants use different slots, so they still prepare in
+        // parallel. A slot is only ever filled from `self.model(kind)` at
+        // `config`, both determined by the key, so a filled slot is always
+        // the right answer and needs no identity check.
+        let mut guard = slot.cell.lock().expect("artifact slot lock");
+        if let Some(found) = guard.as_ref() {
+            self.artifact_hits.fetch_add(1, Ordering::Relaxed);
+            self.touch(&slot);
+            return Ok(Arc::clone(found));
         }
-        let prepared = Arc::new(ModelArtifacts::prepare_shared(&self.config, model)?);
+        let model = self.model(kind)?;
+        self.artifact_misses.fetch_add(1, Ordering::Relaxed);
+        let prepared = Arc::new(ModelArtifacts::prepare_shared(&config, model)?);
         *guard = Some(Arc::clone(&prepared));
         self.touch(&slot);
-        // The fill may have pushed the cache over its LRU cap; the slot lock
-        // is still held, so the freshly filled entry is exempt by name and
-        // invisible to the victim scan.
-        self.enforce_capacity(&name);
+        // The fill may have pushed the variant over its LRU cap; the slot
+        // lock is still held, so the freshly filled entry is exempt by key
+        // and invisible to the victim scan.
+        self.enforce_capacity(key);
         Ok(prepared)
     }
 
@@ -737,32 +716,6 @@ impl SimSession {
         with_fidelity: bool,
     ) -> Result<CodesignResult, PipelineError> {
         self.artifacts(kind)?.codesign_result(&SparsityConfig::all(), with_fidelity)
-    }
-
-    /// Runs the full co-design flow for an arbitrary model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any stage failure.
-    pub fn codesign_model(
-        &self,
-        model: &Model,
-        with_fidelity: bool,
-    ) -> Result<CodesignResult, PipelineError> {
-        self.artifacts_for_model(model)?.codesign_result(&SparsityConfig::all(), with_fidelity)
-    }
-
-    /// Simulates one (model, sparsity) point on the session geometry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any stage failure.
-    pub fn run(
-        &self,
-        kind: ModelKind,
-        sparsity: SparsityConfig,
-    ) -> Result<RunReport, PipelineError> {
-        self.artifacts(kind)?.simulate(self.config.arch, sparsity)
     }
 }
 
@@ -1000,33 +953,19 @@ impl SweepReport {
     }
 }
 
-/// One (operand width, pruning) point of the joint sweep space a
-/// [`BatchRunner`] keeps a dedicated session for.
-type SessionVariant = (OperandWidth, PruningSpec);
-
 /// Executes [`SweepSpec`]s against a shared [`SimSession`], in parallel.
 ///
 /// Sweeps fan out one task per (model, width, pruning) group, so the
 /// expensive model-side preparation runs in parallel across models.
 /// Compiled programs are reused across every sparsity configuration of a
 /// model — the dense and DB-PIM programs are each built exactly once per
-/// (model, width, pruning, geometry).
-///
-/// The runner keeps one [`SimSession`] per swept (operand width, pruning)
-/// variant (the base session serves its configured pair), so artifacts are
-/// cached and reused across repeated sweeps at every point of the joint
-/// precision × value-sparsity space.
+/// (model, width, pruning, geometry). The session caches artifacts for
+/// every (width, pruning) variant, so repeated sweeps reuse them at every
+/// point of the joint precision × value-sparsity space.
 #[derive(Debug)]
 pub struct BatchRunner {
-    session: Arc<SimSession>,
+    session: SimSession,
     threads: usize,
-    /// Lazily created sessions for (width, pruning) variants other than the
-    /// base session's, kept alive so repeated sweeps reuse their artifact
-    /// caches. Read-mostly after warm-up, hence the [`RwLock`].
-    variant_sessions: RwLock<Vec<(SessionVariant, Arc<SimSession>)>>,
-    /// Per-session artifact-cache LRU cap applied to the base session and to
-    /// every lazily created width session (`None` = unbounded).
-    cache_cap: Option<usize>,
 }
 
 impl BatchRunner {
@@ -1037,18 +976,7 @@ impl BatchRunner {
     ///
     /// Returns [`PipelineError::BadConfig`] for unusable configurations.
     pub fn new(config: PipelineConfig) -> Result<Self, PipelineError> {
-        Ok(Self::from_session(SimSession::new(config)?))
-    }
-
-    /// Wraps an existing session.
-    #[must_use]
-    pub fn from_session(session: SimSession) -> Self {
-        Self {
-            session: Arc::new(session),
-            threads: par::default_parallelism(),
-            variant_sessions: RwLock::new(Vec::new()),
-            cache_cap: None,
-        }
+        Ok(Self { session: SimSession::new(config)?, threads: par::default_parallelism() })
     }
 
     /// Overrides the worker-thread count (`1` forces sequential execution).
@@ -1058,82 +986,26 @@ impl BatchRunner {
         self
     }
 
-    /// Caps every per-width session's artifact cache at `cap` resident
-    /// models, LRU-evicting beyond it (see
+    /// Caps the session's artifact cache at `cap` resident models per
+    /// (width, pruning) variant, LRU-evicting beyond it (see
     /// [`SimSession::set_cache_capacity`]); `None` restores the unbounded
-    /// default. Applies to the base session immediately and to width
-    /// sessions as they are created.
+    /// default.
     #[must_use]
-    pub fn with_cache_cap(mut self, cap: Option<usize>) -> Self {
+    pub fn with_cache_cap(self, cap: Option<usize>) -> Self {
         self.session.set_cache_capacity(cap);
-        self.cache_cap = cap;
         self
     }
 
-    /// The underlying session (shared artifact cache at the configured
-    /// width).
+    /// The underlying session (the shared artifact cache of every variant).
     #[must_use]
     pub fn session(&self) -> &SimSession {
         &self.session
     }
 
-    /// The session caching artifacts for one operand width (at the base
-    /// session's pruning), created on first use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] for unusable configurations.
-    pub fn session_for_width(&self, width: OperandWidth) -> Result<Arc<SimSession>, PipelineError> {
-        self.session_for_variant(width, self.session.config().pruning)
-    }
-
-    /// The session caching artifacts for one (operand width, pruning)
-    /// variant, created on first use. The base session serves its own
-    /// configured pair; every other variant gets a sibling session with an
-    /// identical configuration apart from `operand_width` and `pruning`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BadConfig`] for unusable configurations.
-    pub fn session_for_variant(
-        &self,
-        width: OperandWidth,
-        pruning: PruningSpec,
-    ) -> Result<Arc<SimSession>, PipelineError> {
-        let base = self.session.config();
-        if width == base.operand_width && pruning == base.pruning {
-            return Ok(Arc::clone(&self.session));
-        }
-        let key = (width, pruning);
-        if let Some((_, session)) = self
-            .variant_sessions
-            .read()
-            .expect("variant session lock")
-            .iter()
-            .find(|(k, _)| *k == key)
-        {
-            return Ok(Arc::clone(session));
-        }
-        let mut cache = self.variant_sessions.write().expect("variant session lock");
-        if let Some((_, session)) = cache.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(session));
-        }
-        let config = base.with_operand_width(width).with_pruning(pruning);
-        let session = Arc::new(SimSession::new(config)?);
-        session.set_cache_capacity(self.cache_cap);
-        cache.push((key, Arc::clone(&session)));
-        Ok(session)
-    }
-
-    /// Aggregated cache counters across the base session and every
-    /// lazily-created variant session.
+    /// The session's cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> SessionCacheStats {
-        let mut stats = self.session.cache_stats();
-        for (_, session) in self.variant_sessions.read().expect("variant session lock").iter() {
-            stats.absorb(session.cache_stats());
-        }
-        stats
+        self.session.cache_stats()
     }
 
     /// Runs one (model, width, geometry) sweep point and returns its entry,
@@ -1163,7 +1035,7 @@ impl BatchRunner {
     }
 
     /// [`run_point`](Self::run_point) at an explicit pruning spec instead of
-    /// the base session's configured one — the joint value/bit sparsity
+    /// the session's configured one — the joint value/bit sparsity
     /// entry point the DSE driver and serving layer dispatch through.
     ///
     /// # Errors
@@ -1184,11 +1056,10 @@ impl BatchRunner {
             width = width.bits(),
             fidelity = with_fidelity,
         );
-        let session = self.session_for_variant(width, pruning)?;
-        let arch = arch.unwrap_or(session.config().arch);
+        let arch = arch.unwrap_or(self.session.config().arch);
         arch.validate()?;
-        let artifacts = session.artifacts(kind)?;
-        let fidelity = with_fidelity && session.config().evaluation_images > 0;
+        let artifacts = self.session.artifacts_at(kind, width, pruning)?;
+        let fidelity = with_fidelity && self.session.config().evaluation_images > 0;
         // codesign_result_for_arch canonicalizes the sparsity order and
         // collapses duplicates itself.
         let result = artifacts.codesign_result_for_arch(arch, sparsity, fidelity)?;

@@ -281,12 +281,7 @@ fn main() {
     // dumps a Chrome trace of the client-side spans, `--log-level` tunes
     // the stderr logger. Both are scanned from the raw argument list so
     // they stay command-agnostic.
-    if let Err(e) = dbpim_trace::log_level_from_args(&args) {
-        eprintln!("dbpim-cli: {e}");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    let trace = match dbpim_trace::TraceSink::from_args(&args) {
+    let trace = match dbpim_trace::observability_from_args(&args) {
         Ok(sink) => sink,
         Err(e) => {
             eprintln!("dbpim-cli: {e}");

@@ -342,8 +342,8 @@ impl GridOptions {
 /// [pipeline flags] `--width --seed --images --cal --classes --operand-width`
 ///                   (see `pipeline_flag`); `--operand-width` is the
 ///                   default width of requests that name none
-/// --cache-cap <n>   LRU cap on resident prepared models per width session
-///                   (default unbounded; 0 is clamped to 1)
+/// --cache-cap <n>   LRU cap on resident prepared models per (width,
+///                   pruning) variant (default unbounded; 0 is clamped to 1)
 /// --auth-token <s>  shared secret clients must present via Auth (default
 ///                   none: open daemon)
 /// --max-frame-bytes <n>  request-line size limit; longer frames are
@@ -369,9 +369,10 @@ pub struct ServeOptions {
     pub port: u16,
     /// Worker threads.
     pub threads: usize,
-    /// The pipeline configuration the daemon's sessions derive from.
+    /// The pipeline configuration the daemon's artifact cache derives from.
     pub pipeline: PipelineConfig,
-    /// LRU cap on resident prepared models per per-width session cache.
+    /// LRU cap on resident prepared models per (width, pruning) variant of
+    /// the artifact cache.
     pub cache_cap: Option<usize>,
     /// Shared secret clients must present; `None` runs an open daemon.
     pub auth_token: Option<String>,

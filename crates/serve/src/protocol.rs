@@ -316,7 +316,8 @@ pub struct ServerStats {
     pub connections: u64,
     /// Time since the daemon started.
     pub uptime: Duration,
-    /// Warm-cache counters aggregated across every per-width session.
+    /// Warm-cache counters of the daemon's artifact cache (every width and
+    /// pruning variant).
     pub cache: SessionCacheStats,
     /// Connections currently being served by a worker.
     pub active_connections: u64,

@@ -1,12 +1,13 @@
 //! The sweep-serving daemon.
 //!
 //! A [`Server`] owns one [`BatchRunner`] — and through it one warm
-//! [`db_pim::SimSession`] artifact cache per operand width — and serves the
-//! [`protocol`](crate::protocol) over TCP. Connections are dispatched to a
-//! fixed worker pool; every worker answers requests against the *same*
-//! shared session caches, so N clients asking for the same (model, width)
-//! trigger exactly one artifact preparation (the session layer's
-//! single-flight guarantee) and every later request is served warm.
+//! [`db_pim::SimSession`] artifact cache for every (model, width, pruning)
+//! variant — and serves the [`protocol`](crate::protocol) over TCP.
+//! Connections are dispatched to a fixed worker pool; every worker answers
+//! requests against the *same* shared cache, so N clients asking for the
+//! same (model, width) trigger exactly one artifact preparation (the
+//! session layer's single-flight guarantee) and every later request is
+//! served warm.
 //!
 //! Sweeps stream: each (model, width, geometry) entry is written to the
 //! client as soon as it is computed, so a long sweep delivers its first
@@ -162,11 +163,11 @@ pub struct ServeConfig {
     /// This is *not* an idle-disconnect limit — a quiet client stays
     /// connected indefinitely.
     pub poll_interval: Duration,
-    /// The pipeline configuration every session is derived from.
+    /// The pipeline configuration the artifact cache is derived from.
     pub pipeline: PipelineConfig,
-    /// LRU cap on resident prepared models per per-width session cache
-    /// (`None` = unbounded, the historical behaviour). Evictions are
-    /// counted in the `CacheStats` response.
+    /// LRU cap on resident prepared models per (width, pruning) variant of
+    /// the artifact cache (`None` = unbounded, the historical behaviour).
+    /// Evictions are counted in the `CacheStats` response.
     pub cache_cap: Option<usize>,
     /// Shared secret clients must present via [`Request::Auth`] before any
     /// request other than `Ping`; `None` serves everyone (the historical

@@ -19,6 +19,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use serde::{Deserialize, Serialize};
 
 use crate::chrome::ChromeTrace;
+use crate::logger::{set_log_level, LogLevel};
 
 /// Default ring-buffer capacity: enough for a full zoo sweep's phase and
 /// per-layer spans without unbounded growth under per-request serving.
@@ -446,6 +447,40 @@ macro_rules! span {
 
 // ------------------------------------------------------------- trace sink
 
+/// Applies the observability flags every binary accepts beside its own
+/// options, in one scan of `args`: `--log-level <level>` sets the stderr
+/// log level, and `--trace-out <path>` installs a [`TraceSink`] (returned).
+/// The first occurrence of each flag counts; other arguments are ignored,
+/// so this layers on the workspace's strict option parsers.
+///
+/// # Errors
+///
+/// Returns a message when `--log-level` is missing or has an unknown value
+/// (checked first, before any sink is installed), or when `--trace-out`
+/// has no value.
+pub fn observability_from_args(args: &[String]) -> Result<Option<TraceSink>, String> {
+    let (mut level, mut path) = (None, None);
+    for (i, arg) in args.iter().enumerate() {
+        let value = match arg.as_str() {
+            "--log-level" => &mut level,
+            "--trace-out" => &mut path,
+            _ => continue,
+        };
+        value.get_or_insert(args.get(i + 1));
+    }
+    if let Some(raw) = level {
+        let raw = raw.ok_or("invalid value for `--log-level`: missing value")?;
+        let level: LogLevel =
+            raw.parse().map_err(|e| format!("invalid value for `--log-level`: {e}"))?;
+        set_log_level(level);
+    }
+    match path {
+        None => Ok(None),
+        Some(None) => Err("invalid value for `--trace-out`: missing value".to_string()),
+        Some(Some(path)) => Ok(Some(TraceSink::install(path))),
+    }
+}
+
 /// The `--trace-out <path>` plumbing shared by every binary: installs a
 /// fresh collector on construction and writes the Chrome trace-event JSON
 /// on [`TraceSink::finish`].
@@ -462,27 +497,6 @@ impl TraceSink {
         let collector = Arc::new(TraceCollector::new());
         install(Arc::clone(&collector));
         Self { collector, path: path.into() }
-    }
-
-    /// Scans an argument list for `--trace-out <path>` and installs a sink
-    /// when present. Unknown flags stay untouched, so this layers on the
-    /// workspace's strict option parsers.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the flag is present without a value.
-    pub fn from_args(args: &[String]) -> Result<Option<Self>, String> {
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--trace-out" {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| "invalid value for `--trace-out`: missing value".to_string())?;
-                return Ok(Some(Self::install(path)));
-            }
-            i += 1;
-        }
-        Ok(None)
     }
 
     /// The installed collector.
@@ -781,16 +795,17 @@ mod tests {
     #[test]
     fn trace_sink_parses_the_flag_and_writes_json() {
         let _guard = GUARD.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let missing = TraceSink::from_args(&["--trace-out".to_string()]);
+        let missing = observability_from_args(&["--trace-out".to_string()]);
         assert!(missing.unwrap_err().contains("--trace-out"));
-        let none = TraceSink::from_args(&["--other".to_string(), "x".to_string()]).expect("parses");
+        let none =
+            observability_from_args(&["--other".to_string(), "x".to_string()]).expect("parses");
         assert!(none.is_none());
 
         let dir = std::env::temp_dir().join(format!("dbpim-trace-sink-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("trace.json");
         let args = vec!["--trace-out".to_string(), path.display().to_string()];
-        let sink = TraceSink::from_args(&args).expect("parses").expect("flag present");
+        let sink = observability_from_args(&args).expect("parses").expect("flag present");
         {
             let _s = span!("sink.test", point = 1);
         }

@@ -56,10 +56,10 @@ pub mod metrics;
 
 pub use chrome::{phase_summary, render_phase_table, ChromeTrace, PhaseSummary, ProcessLane};
 pub use collector::{
-    collector, enabled, install, kernel_span, kernel_span_with, start_span, uninstall,
-    unix_micros_now, CollectorSnapshot, SpanGuard, SpanRecord, TraceCollector, TraceSink,
-    TraceSpan, DEFAULT_CAPACITY, DEFAULT_KERNEL_SAMPLING,
+    collector, enabled, install, kernel_span, kernel_span_with, observability_from_args,
+    start_span, uninstall, unix_micros_now, CollectorSnapshot, SpanGuard, SpanRecord,
+    TraceCollector, TraceSink, TraceSpan, DEFAULT_CAPACITY, DEFAULT_KERNEL_SAMPLING,
 };
 pub use histogram::{LatencyHistogram, LATENCY_BUCKETS};
-pub use logger::{log_enabled, log_level, log_level_from_args, set_log_level, LogLevel};
+pub use logger::{log_enabled, log_level, set_log_level, LogLevel};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

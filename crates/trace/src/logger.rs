@@ -168,34 +168,10 @@ macro_rules! log_debug {
     };
 }
 
-/// Scans an argument list for `--log-level <level>` and applies it.
-/// Unknown flags stay untouched, so this layers on the workspace's strict
-/// option parsers.
-///
-/// # Errors
-///
-/// Returns a message when the flag is present with a missing or unknown
-/// value.
-pub fn log_level_from_args(args: &[String]) -> Result<Option<LogLevel>, String> {
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--log-level" {
-            let raw = args
-                .get(i + 1)
-                .ok_or_else(|| "invalid value for `--log-level`: missing value".to_string())?;
-            let level: LogLevel =
-                raw.parse().map_err(|e| format!("invalid value for `--log-level`: {e}"))?;
-            set_log_level(level);
-            return Ok(Some(level));
-        }
-        i += 1;
-    }
-    Ok(None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observability_from_args;
 
     #[test]
     fn levels_parse_and_order() {
@@ -222,14 +198,15 @@ mod tests {
     #[test]
     fn flag_scan_sets_the_level_and_rejects_garbage() {
         let args = vec!["--log-level".to_string(), "debug".to_string()];
-        assert_eq!(log_level_from_args(&args).unwrap(), Some(LogLevel::Debug));
+        assert!(observability_from_args(&args).unwrap().is_none(), "no sink without --trace-out");
         assert_eq!(log_level(), LogLevel::Debug);
         set_log_level(LogLevel::Info);
 
-        assert_eq!(log_level_from_args(&["--other".to_string()]).unwrap(), None);
-        assert!(log_level_from_args(&["--log-level".to_string()]).is_err());
+        assert!(observability_from_args(&["--other".to_string()]).unwrap().is_none());
+        assert_eq!(log_level(), LogLevel::Info, "an absent flag leaves the level alone");
+        assert!(observability_from_args(&["--log-level".to_string()]).is_err());
         let bad = vec!["--log-level".to_string(), "loud".to_string()];
-        assert!(log_level_from_args(&bad).unwrap_err().contains("loud"));
+        assert!(observability_from_args(&bad).unwrap_err().contains("loud"));
     }
 
     #[test]

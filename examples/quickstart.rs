@@ -4,10 +4,11 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! The session builds a model with synthetic weights, quantizes it to INT8,
+//! The pipeline takes a model with synthetic weights, quantizes it to INT8,
 //! applies the FTA algorithm, compiles the result for the DB-PIM macros and
 //! the dense baseline, and simulates all four Fig. 7 sparsity configurations
-//! from the same compiled programs.
+//! from the same compiled programs. Sweeps over the zoo models go through a
+//! cached `SimSession` instead (see the `sparsity_explorer` example).
 
 use std::error::Error;
 
@@ -17,11 +18,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     // A fast configuration: 10 classes, a handful of synthetic images.
     let mut config = PipelineConfig::fast();
     config.evaluation_images = 8;
-    let session = SimSession::new(config)?;
+    let pipeline = Pipeline::new(config)?;
 
     let model = zoo::tiny_cnn(10, 42)?;
     println!("model: {} ({} nodes)", model.name(), model.nodes().len());
-    let result = session.codesign_model(&model, true)?;
+    let result = pipeline.run_model(&model)?;
 
     println!("\n== model summary ==");
     print!("{}", result.summary.to_table());

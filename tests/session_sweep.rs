@@ -205,40 +205,9 @@ fn sparsity_subset_is_honoured() {
     assert!(result.speedup(SparsityConfig::HybridSparsity) > 1.0);
 }
 
-/// Two distinct models sharing a name must not receive each other's cached
-/// artifacts.
-#[test]
-fn same_name_different_model_is_not_served_from_cache() {
-    let config = small_config();
-    let session = SimSession::new(config).expect("valid config");
-    // Both builders produce a model named "tiny_cnn", with different weights.
-    let a = zoo::tiny_cnn(10, 3).expect("model builds");
-    let b = zoo::tiny_cnn(10, 7).expect("model builds");
-    let result_a = session.codesign_model(&a, true).expect("a runs");
-    let result_b = session.codesign_model(&b, true).expect("b runs");
-    assert_ne!(result_a.fta_stats, result_b.fta_stats, "b was served a's cached artifacts");
-
-    let expected_b =
-        Pipeline::new(config).expect("valid config").run_model(&b).expect("pipeline runs");
-    assert_eq!(result_b, expected_b);
-}
-
-/// `SimSession::codesign` on a non-zoo model matches `Pipeline::run_model`.
-#[test]
-fn session_codesign_model_matches_pipeline() {
-    let config = small_config();
-    let session = SimSession::new(config).expect("valid config");
-    let model = zoo::tiny_cnn(10, 3).expect("model builds");
-    let via_session = session.codesign_model(&model, true).expect("session runs");
-    let via_pipeline =
-        Pipeline::new(config).expect("valid config").run_model(&model).expect("pipeline runs");
-    assert_eq!(via_session, via_pipeline);
-}
-
-/// The runner keeps one artifact cache per operand width: repeated sweeps
-/// at the same widths reuse both the per-width sessions and the prepared
-/// artifacts (no re-preparation), and the base width is served by the base
-/// session itself.
+/// Repeated sweeps at several operand widths reuse the prepared artifacts
+/// of every width: re-requests are pointer-equal, nothing is prepared a
+/// second time, and a second identical sweep reproduces the first.
 #[test]
 fn width_sweeps_reuse_cached_artifacts_across_runs() {
     let runner = BatchRunner::new(small_config()).expect("valid config");
@@ -249,23 +218,68 @@ fn width_sweeps_reuse_cached_artifacts_across_runs() {
     let first = runner.run(&spec).expect("first sweep runs");
     assert_eq!(first.entries.len(), 2);
     assert_eq!(first.prepared_models, 2);
+    let misses = runner.cache_stats().artifact_misses;
+    assert_eq!(misses, 2, "one preparation per width");
 
-    // The base session serves its own configured width (INT8)...
-    let int8_session = runner.session_for_width(OperandWidth::Int8).expect("int8 session");
-    assert!(std::ptr::eq(&*int8_session, runner.session()), "INT8 must reuse the base session");
-    // ...and sibling widths keep a stable session across calls.
-    let int4_a = runner.session_for_width(OperandWidth::Int4).expect("int4 session");
-    let int4_b = runner.session_for_width(OperandWidth::Int4).expect("int4 session again");
-    assert!(Arc::ptr_eq(&int4_a, &int4_b), "per-width sessions were re-created");
-    assert_eq!(int4_a.config().operand_width, OperandWidth::Int4);
+    // Artifacts prepared by the sweep are pointer-identical on re-request
+    // at every width, and the configured width (INT8) is the slot
+    // `artifacts` serves.
+    let session = runner.session();
+    for width in [OperandWidth::Int4, OperandWidth::Int8] {
+        let cached_a = session
+            .artifacts_at(ModelKind::AlexNet, width, PruningSpec::none())
+            .expect("cached artifacts");
+        let cached_b = session
+            .artifacts_at(ModelKind::AlexNet, width, PruningSpec::none())
+            .expect("cached artifacts again");
+        assert!(Arc::ptr_eq(&cached_a, &cached_b), "{width} artifacts were re-prepared");
+        assert_eq!(cached_a.config().operand_width, width);
+    }
+    let configured = session.artifacts(ModelKind::AlexNet).expect("cached artifacts");
+    let int8 = session
+        .artifacts_at(ModelKind::AlexNet, OperandWidth::Int8, PruningSpec::none())
+        .expect("cached artifacts");
+    assert!(Arc::ptr_eq(&configured, &int8), "INT8 must be the configured variant");
 
-    // Artifacts prepared by the sweep are pointer-identical on re-request,
-    // and a second identical sweep reproduces the first bit-for-bit.
-    let cached_a = int4_a.artifacts(ModelKind::AlexNet).expect("cached artifacts");
-    let cached_b = int4_a.artifacts(ModelKind::AlexNet).expect("cached artifacts again");
-    assert!(Arc::ptr_eq(&cached_a, &cached_b), "artifacts were re-prepared");
     let second = runner.run(&spec).expect("second sweep runs");
     assert_eq!(first.entries, second.entries);
+    assert_eq!(runner.cache_stats().artifact_misses, misses, "the second sweep re-prepared");
+}
+
+/// One session caches every (width, pruning) variant, all prepared from one
+/// float model per zoo model, and the LRU cap counts per variant: under cap
+/// 1, INT8 and INT4 AlexNet are both resident, and INT4 MobileNetV2 evicts
+/// only INT4 AlexNet.
+#[test]
+fn cache_cap_counts_per_variant_over_one_shared_float_model() {
+    let session = SimSession::new(small_config()).expect("valid config");
+    session.set_cache_capacity(Some(1));
+    let none = PruningSpec::none();
+
+    let int8 = session.artifacts(ModelKind::AlexNet).expect("INT8 AlexNet");
+    let int4 =
+        session.artifacts_at(ModelKind::AlexNet, OperandWidth::Int4, none).expect("INT4 AlexNet");
+    let stats = session.cache_stats();
+    assert_eq!((stats.resident_artifacts, stats.artifact_evictions), (2, 0), "{stats:?}");
+    assert!(std::ptr::eq(int8.model(), int4.model()), "the variants built two float models");
+
+    session
+        .artifacts_at(ModelKind::MobileNetV2, OperandWidth::Int4, none)
+        .expect("INT4 MobileNetV2");
+    let stats = session.cache_stats();
+    assert_eq!((stats.resident_artifacts, stats.artifact_evictions), (2, 1), "{stats:?}");
+    assert_eq!((stats.artifact_hits, stats.artifact_misses), (0, 3), "{stats:?}");
+
+    // INT8 AlexNet survived in its own variant...
+    let again = session.artifacts(ModelKind::AlexNet).expect("INT8 AlexNet again");
+    assert!(Arc::ptr_eq(&int8, &again), "INT8 AlexNet was evicted");
+    let stats = session.cache_stats();
+    assert_eq!((stats.artifact_hits, stats.artifact_misses), (1, 3), "{stats:?}");
+    // ...and INT4 AlexNet was the victim.
+    let rebuilt =
+        session.artifacts_at(ModelKind::AlexNet, OperandWidth::Int4, none).expect("rebuilds");
+    assert!(!Arc::ptr_eq(&int4, &rebuilt), "evicted artifacts were resurrected");
+    assert_eq!(session.cache_stats().artifact_misses, 4);
 }
 
 /// The session cache counters observe exactly what happened: one miss per
