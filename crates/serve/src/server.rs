@@ -789,6 +789,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // A finite read timeout turns a blocked read into a periodic shutdown
     // check, so a quiet connection cannot pin a worker past daemon exit.
     let _ = stream.set_read_timeout(Some(shared.poll_interval));
+    // Responses are whole frames; holding one back for coalescing only adds
+    // a delayed-ACK wait to every round trip.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(writer) => writer,
         Err(_) => return,

@@ -745,3 +745,57 @@ fn stats_counters_match_a_scripted_request_sequence() {
     client.shutdown().expect("shutdown acknowledged");
     handle.join().expect("daemon exits cleanly");
 }
+
+/// Times `op` `runs` times and returns the median in milliseconds.
+fn median_latency_ms(runs: usize, mut op: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            op();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[runs / 2]
+}
+
+/// Round trips over loopback are not held back by Nagle's algorithm and
+/// delayed ACKs. A frame written in two pieces to a socket without
+/// `TCP_NODELAY` used to wait about 40 ms for the peer's ACK, on every
+/// response and on every frame of a stream. The bounds are generous (debug
+/// build, tests running in parallel) but far below one such stall.
+#[test]
+fn loopback_round_trips_do_not_stall() {
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let alexnet = RunQuery::new(ModelKind::AlexNet);
+    // Warm-up: prepare AlexNet's artifacts and compile its default program.
+    client.run_model(&alexnet).expect("warm-up run");
+
+    let ping_ms = median_latency_ms(50, || {
+        client.ping().expect("ping");
+    });
+    assert!(ping_ms < 10.0, "median Ping took {ping_ms:.2} ms");
+
+    let run_ms = median_latency_ms(20, || {
+        client.run_model(&alexnet).expect("warm run");
+    });
+    assert!(run_ms < 20.0, "median warm AlexNet RunModel took {run_ms:.2} ms");
+
+    // Four points stream as six frames (started, four points, finished).
+    // The first pass compiles the four geometries; the second is timed.
+    let spec = DseSpec::new(
+        ArchGrid::around(ArchConfig::paper()).with_macros(vec![2, 4, 8, 16]),
+        vec![ModelKind::AlexNet],
+    )
+    .with_sparsity(vec![SparsityConfig::DenseBaseline, SparsityConfig::HybridSparsity]);
+    client.explore(&spec).expect("warm-up explore");
+    let start = std::time::Instant::now();
+    let report = client.explore(&spec).expect("explore");
+    let explore_ms = start.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(report.entries.len(), 4);
+    assert!(explore_ms < 40.0, "a 4-point Explore stream took {explore_ms:.2} ms");
+
+    client.shutdown().expect("shutdown acknowledged");
+    handle.join().expect("daemon exits cleanly");
+}
